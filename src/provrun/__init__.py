@@ -27,11 +27,9 @@ from .options import (
     merge,
     parse_options,
     parse_value,
-    text_to_value,
     value_to_text,
 )
-from .provenance import InputLineage, MetaDataSvc, is_enabled
-from .services import apply_options
+from .provenance import InputLineage, MetaDataSvc
 
 __version__ = "0.1.0"
 
@@ -53,19 +51,16 @@ __all__ = [
     "OptionsSet",
     "PhaseStatus",
     "ProvrunError",
-    "apply_options",
     "build_job",
     "diff_dictionaries",
     "emit_canonical",
     "extract_info",
-    "is_enabled",
     "merge",
     "parse_options",
     "parse_value",
     "read_block",
     "run_job",
     "standard_catalogue",
-    "text_to_value",
     "value_to_text",
     "write_container",
 ]

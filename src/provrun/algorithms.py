@@ -12,7 +12,7 @@ import os
 
 from .components import Component, ComponentKind
 from .container import ContainerReader
-from .errors import AlgorithmFailure, CorruptContainer, LineageMissing
+from .errors import AlgorithmFailure, CorruptContainer, InvalidConfiguration, LineageMissing
 from .events import decode_events
 from .options import Kind
 from .rng import SplitMix64
@@ -77,14 +77,21 @@ class FileEventSource(EventSource):
 
     PROPERTIES = (("Input", Kind.TEXT, ""),)
 
-    def plan(self, job) -> int:
+    def start(self, job) -> None:
+        """Read and verify the input here, so that a missing, changed or
+        self-overwriting input fails initialize and no output is written."""
         path = self.value("Input")
         if not path:
             raise AlgorithmFailure(f"{self.name}.Input is not set")
         if not os.path.exists(path):
-            if job.expects_input(len(job.lineage)):
+            if len(job.lineage) in job.expected_inputs:
                 raise LineageMissing(f"declared input {path!r} no longer exists")
             raise AlgorithmFailure(f"input container {path!r} does not exist")
+        output = job.app.value("OutputFile")
+        if output and os.path.exists(output) and os.path.samefile(path, output):
+            raise InvalidConfiguration(
+                f"ApplicationMgr.OutputFile {output!r} would overwrite the input "
+                f"{path!r}")
         try:
             with ContainerReader(path) as reader:
                 payload = reader.read_block("events")
@@ -93,6 +100,8 @@ class FileEventSource(EventSource):
             raise AlgorithmFailure(f"cannot read input {path!r}: {exc}") from exc
         self._names, self._rows = decode_events(payload)
         job.record_input(path, crc)
+
+    def plan(self, job) -> int:
         return len(self._rows)
 
     def field_names(self) -> list[str]:

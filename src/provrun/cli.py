@@ -9,25 +9,20 @@ scripts can tell triage outcomes apart.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional
 
-from .container import ContainerReader, extract_info
+from .container import INFO_BLOCK, ContainerReader, extract_info
 from .core import PhaseStatus, run_job
 from .diff import DiffReport, diff_dictionaries
 from .errors import (
     ChecksumMismatch,
     LineageError,
-    LineageMissing,
-    LineageMismatch,
     MissingInfo,
     OptionsError,
     ProvrunError,
 )
-from .metadata import MetadataDictionary
-from .options import parse_options, parse_value
-from .provenance import LINEAGE_PREFIX
+from .options import parse_options
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -77,10 +72,7 @@ def cmd_run(config_path: str) -> int:
     _print_report(job)
     if job.report.succeeded:
         return EXIT_OK
-    print(f"error: {job.report.error}", file=sys.stderr)
-    if isinstance(job.failure, (LineageMissing, LineageMismatch, ChecksumMismatch)):
-        return EXIT_VERIFY
-    return EXIT_ERROR
+    return _fail(job.report.error, _code_for(job.failure))
 
 
 def _display_value(text: str) -> str:
@@ -117,61 +109,38 @@ def cmd_export(container_path: str, out_path: str) -> int:
     return EXIT_OK
 
 
-def _lineage_entries(info: MetadataDictionary) -> list[tuple[str, int]]:
-    entries = []
-    ordinal = 0
-    while True:
-        path_text = info.get(f"{LINEAGE_PREFIX}.I{ordinal}.Path")
-        crc_text = info.get(f"{LINEAGE_PREFIX}.I{ordinal}.Checksum")
-        if path_text is None and crc_text is None:
-            return entries
-        path = parse_value(path_text).value if path_text is not None else None
-        crc = parse_value(crc_text).value if crc_text is not None else None
-        entries.append((path, crc))
-        ordinal += 1
-
-
-def _verify_lineage(info: MetadataDictionary) -> None:
-    for path, crc in _lineage_entries(info):
-        if path is None:
-            continue
-        if not os.path.exists(path):
-            raise LineageMissing(f"declared input {path!r} no longer exists")
-        with ContainerReader(path) as reader:
-            reader.read_block("events")  # verifies bytes against the stored crc
-            actual = reader.block_crc("events")
-        if crc is not None and actual != crc:
-            raise LineageMismatch(f"input {path!r} checksum {actual} differs "
-                                  f"from the recorded {crc}")
+def _payload_checksums(path) -> dict[str, int]:
+    """Stored crc32c of every block but `info`, by name."""
+    with ContainerReader(path) as reader:
+        return {name: reader.block_crc(name) for name in reader.block_names()
+                if name != INFO_BLOCK}
 
 
 def cmd_replay(container_path: str, out_path: str) -> int:
-    with ContainerReader(container_path) as reader:
-        if not reader.has_block("info"):
-            return _fail(f"no provenance recorded in {container_path}")
-        original_events_crc = reader.block_crc("events")
-    info = extract_info(container_path)
-    _verify_lineage(info)
+    try:
+        info = extract_info(container_path)
+    except MissingInfo:
+        return _fail(f"no provenance recorded in {container_path}")
+    original = _payload_checksums(container_path)
 
     config = info.to_options()
     config.set(OUTPUT_FILE_KEY, out_path)
-    job = run_job(config)
+    job = run_job(config)  # the job itself verifies every recorded input
     _print_report(job)
     if not job.report.succeeded:
-        print(f"error: {job.report.error}", file=sys.stderr)
-        return (EXIT_VERIFY
-                if isinstance(job.failure, (LineageError, ChecksumMismatch))
-                else EXIT_ERROR)
+        return _fail(job.report.error, _code_for(job.failure))
 
-    new_crc = job.report.payload_checksum
-    if new_crc != original_events_crc:
-        return _fail(f"replayed events checksum {new_crc} differs from the "
-                     f"original {original_events_crc}", EXIT_VERIFY)
+    replayed = _payload_checksums(out_path)
+    if replayed != original:
+        differing = sorted(name for name in original.keys() | replayed.keys()
+                           if original.get(name) != replayed.get(name))
+        return _fail(f"replayed block checksums differ from the original: "
+                     f"{', '.join(differing)}", EXIT_VERIFY)
     new_info = extract_info(out_path)
     if new_info.without(OUTPUT_FILE_KEY) != info.without(OUTPUT_FILE_KEY):
         return _fail("replayed provenance differs from the original "
                      "(beyond the output path)", EXIT_VERIFY)
-    print("replay verified: payload checksum and provenance match", file=sys.stderr)
+    print("replay verified: block checksums and provenance match", file=sys.stderr)
     return EXIT_OK
 
 

@@ -13,9 +13,10 @@ File layout (integers little-endian):
                      u32 crc32c of the payload
     trailer          u32 crc32c over the TOC bytes
 
-The TOC sits at the end so payloads stream out without buffering; readers
-seek straight to it, so extracting `info` touches only the TOC plus that
-one block regardless of file size.
+The TOC sits at the end, after the payloads whose offsets and checksums it
+records; the writer assembles the whole file in memory and writes it in
+one call. Readers seek straight to the TOC, so extracting `info` touches
+only the TOC plus that one block regardless of file size.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import io
 import os
 import struct
-from typing import BinaryIO, Iterable, Mapping, Union
+from typing import BinaryIO, Iterable, Union
 
 from . import options
 from .crc import crc32c
@@ -49,11 +50,9 @@ _TOC_ENTRY_TAIL = struct.Struct("<QQI")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 
-BlockSource = Union[Mapping[str, bytes], Iterable[tuple[str, bytes]]]
 
-
-def _normalize_blocks(blocks: BlockSource) -> list[tuple[str, bytes]]:
-    pairs = list(blocks.items()) if isinstance(blocks, Mapping) else list(blocks)
+def _normalize_blocks(blocks: Iterable[tuple[str, bytes]]) -> list[tuple[str, bytes]]:
+    pairs = list(blocks)
     seen = set()
     for name, payload in pairs:
         if name in seen:
@@ -75,7 +74,7 @@ def _check_info_canonical(payload: bytes) -> None:
         raise ReservedNameMisuse("info payload is not in canonical form")
 
 
-def write_container(path, blocks: BlockSource) -> dict[str, int]:
+def write_container(path, blocks: Iterable[tuple[str, bytes]]) -> dict[str, int]:
     """Write the container; returns each block's crc32c by name.
 
     Rewriting the same blocks yields byte-identical files.
@@ -184,9 +183,6 @@ class ContainerReader:
     def block_crc(self, name: str) -> int:
         """Stored crc32c of a block (read_block verifies it against bytes)."""
         return self._entry(name)[2]
-
-    def block_length(self, name: str) -> int:
-        return self._entry(name)[1]
 
     def _entry(self, name: str) -> tuple[int, int, int]:
         try:

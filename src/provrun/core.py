@@ -29,6 +29,7 @@ from .provenance import InputLineage, MetaDataSvc, SERVICE_NAME as METADATA_SERV
 from .services import (
     LEVEL_ERROR,
     LEVEL_INFO,
+    LINEAGE_COMPONENT,
     ContainerWriterSvc,
     EventDataSvc,
     JobOptionsSvc,
@@ -38,7 +39,7 @@ from .services import (
     ToolSvc,
 )
 
-_RESERVED_NAMES = ("Provenance", "ApplicationMgr")
+_RESERVED_NAMES = (LINEAGE_COMPONENT, "ApplicationMgr")
 
 
 class PhaseStatus(Enum):
@@ -131,8 +132,8 @@ class Job:
         self.algorithms: list[Algorithm] = []
         self.registry: Optional[ServiceRegistry] = None
         self.lineage: list[InputLineage] = []
-        self._expected_paths: dict[int, str] = {}
-        self._expected_checksums: dict[int, int] = {}
+        # declared input lineage, by ordinal: {"Path": str, "Checksum": int}
+        self.expected_inputs: dict[int, dict[str, object]] = {}
         self.report = JobReport()
         self.failure: Optional[BaseException] = None
 
@@ -151,36 +152,35 @@ class Job:
 
         services: list[Service] = [self.msg, self.options_svc, self.tool_svc,
                                    self.events, self.writer]
-        standard = {svc.name for svc in services}
-        requested = _config_name_list(self.config, "ApplicationMgr.Services")
-        seen: set[str] = set()
-        for name in requested:
-            if name in seen:
-                raise DuplicateComponent(f"service {name!r} listed twice")
-            seen.add(name)
-            if name in standard:
-                continue  # always-on services may be named redundantly
-            factory = self.catalogue.services.get(name)
-            if factory is None:
-                raise UnknownComponent(f"no service named {name!r} in the catalogue")
-            services.append(factory())
+        # always-on services may be named redundantly
+        services += self._instantiate("ApplicationMgr.Services", "service",
+                                      self.catalogue.services,
+                                      skip={svc.name for svc in services})
         self.registry = ServiceRegistry(services)
         self.metadata_svc = self.registry.get(METADATA_SERVICE)
-
-        top_alg = _config_name_list(self.config, "ApplicationMgr.TopAlg")
-        seen = set()
-        for name in top_alg:
-            if name in seen:
-                raise DuplicateComponent(f"algorithm {name!r} listed twice")
-            seen.add(name)
-            factory = self.catalogue.algorithms.get(name)
-            if factory is None:
-                raise UnknownComponent(f"no algorithm named {name!r} in the catalogue")
-            self.algorithms.append(factory())
+        self.algorithms = self._instantiate("ApplicationMgr.TopAlg", "algorithm",
+                                            self.catalogue.algorithms)
         for alg in self.algorithms[1:]:
             if isinstance(alg, EventSource):
                 raise InvalidConfiguration(
                     f"event source {alg.name!r} must be first in TopAlg")
+
+    def _instantiate(self, key: str, kind: str, factories: dict[str, type],
+                     skip: set[str] = frozenset()) -> list[Component]:
+        """One instance per name listed under `key`, except the `skip` names."""
+        instances = []
+        seen: set[str] = set()
+        for name in _config_name_list(self.config, key):
+            if name in seen:
+                raise DuplicateComponent(f"{kind} {name!r} listed twice")
+            seen.add(name)
+            if name in skip:
+                continue
+            factory = factories.get(name)
+            if factory is None:
+                raise UnknownComponent(f"no {kind} named {name!r} in the catalogue")
+            instances.append(factory())
+        return instances
 
     def find_component(self, name: str) -> Optional[Component]:
         if name == self.app.name:
@@ -213,39 +213,23 @@ class Job:
 
     # --- lineage ----------------------------------------------------------
 
-    def declare_input_path(self, ordinal: int, path: str) -> None:
-        self._expected_paths[ordinal] = path
-
-    def declare_input_checksum(self, ordinal: int, checksum: int) -> None:
-        self._expected_checksums[ordinal] = checksum
-
-    def expects_input(self, ordinal: int) -> bool:
-        return ordinal in self._expected_paths or ordinal in self._expected_checksums
-
-    @property
-    def lineage_expectations(self) -> dict[int, tuple[Optional[str], Optional[int]]]:
-        ordinals = set(self._expected_paths) | set(self._expected_checksums)
-        return {n: (self._expected_paths.get(n), self._expected_checksums.get(n))
-                for n in sorted(ordinals)}
-
     def record_input(self, path: str, checksum: int) -> None:
         ordinal = len(self.lineage)
-        if self.expects_input(ordinal):
-            expected_path = self._expected_paths.get(ordinal)
-            expected_crc = self._expected_checksums.get(ordinal)
-            if expected_path is not None and expected_path != path:
+        expected = self.expected_inputs.get(ordinal)
+        if expected is not None:
+            if expected.get("Path", path) != path:
                 raise LineageMismatch(
-                    f"input {ordinal} is declared as {expected_path!r} but the "
+                    f"input {ordinal} is declared as {expected['Path']!r} but the "
                     f"job reads {path!r}")
-            if expected_crc is not None and expected_crc != checksum:
+            if expected.get("Checksum", checksum) != checksum:
                 raise LineageMismatch(
                     f"input {path!r} checksum {checksum} differs from the "
-                    f"declared {expected_crc}")
+                    f"declared {expected['Checksum']}")
             self.options_svc.record_lineage_applied(ordinal, path, checksum)
         self.lineage.append(InputLineage(ordinal, path, checksum))
 
     def _check_all_inputs_consumed(self) -> None:
-        expected = sorted(self.lineage_expectations)
+        expected = sorted(self.expected_inputs)
         if expected and expected != list(range(len(self.lineage))):
             raise LineageMismatch(
                 f"config declares input ordinals {expected} but the job "
@@ -260,7 +244,8 @@ class Job:
                 if svc is not self.metadata_svc:
                     svc.start(self)
             for alg in self.algorithms:
-                alg.start(self)
+                alg.start(self)  # sources read and verify their inputs here
+            self._check_all_inputs_consumed()
             self.writer.reset()
             status = PhaseStatus.OK
             self.log(LEVEL_INFO, "ApplicationMgr",
@@ -298,7 +283,6 @@ class Job:
                 if accepted:
                     self.report.events_written += 1
                     self.writer.add_event(record)
-            self._check_all_inputs_consumed()
             status = PhaseStatus.OK
             self.log(LEVEL_INFO, "ApplicationMgr",
                      f"processed {self.report.events_seen} event(s), "

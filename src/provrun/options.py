@@ -227,9 +227,6 @@ class OptionsSet:
     def get(self, key: KeyLike, default=None) -> Optional[OptionValue]:
         return self._entries.get(self._as_key(key), default)
 
-    def remove(self, key: KeyLike) -> None:
-        self._entries.pop(self._as_key(key), None)
-
     def __getitem__(self, key: KeyLike) -> OptionValue:
         return self._entries[self._as_key(key)]
 
@@ -497,10 +494,6 @@ def parse_value(text: str) -> OptionValue:
     if not scanner.at_end():
         scanner.fail("unexpected text after value")
     return value
-
-
-# spec-facing aliases for the shared scalar codec
-text_to_value = parse_value
 
 
 # --- canonical emission ------------------------------------------------------

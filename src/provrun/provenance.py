@@ -5,8 +5,8 @@ snapshot sees the fully resolved configuration: for each instantiated
 component (algorithms, services, tools) every declared property is
 recorded with the canonical text of its resolved value, whether it was
 set explicitly or left at its default. Input lineage (path + checksum of
-each consumed container) rides along under the reserved
-``Provenance.Inputs`` namespace. The dictionary never contains wall-clock
+each consumed container) rides along under the reserved lineage keys of
+`services.lineage_key`. The dictionary never contains wall-clock
 times or host identity, which is what makes replay a byte-level fixpoint.
 """
 
@@ -17,11 +17,10 @@ from typing import Optional
 
 from .errors import NotCollected
 from .metadata import MetadataDictionary
-from .options import Kind, OptionsSet, OptionValue, value_to_text
-from .services import Service
+from .options import Kind, OptionValue, value_to_text
+from .services import Service, lineage_key
 
 SERVICE_NAME = "MetaDataSvc"
-LINEAGE_PREFIX = "Provenance.Inputs"
 
 
 @dataclass(frozen=True)
@@ -31,15 +30,6 @@ class InputLineage:
     ordinal: int
     path: str
     checksum: int
-
-
-def is_enabled(config: OptionsSet) -> bool:
-    """True iff ApplicationMgr.Services lists the capture service."""
-    value = config.get("ApplicationMgr.Services")
-    if value is None or value.kind is not Kind.LIST:
-        return False
-    return any(item.kind is Kind.TEXT and item.value == SERVICE_NAME
-               for item in value.value)
 
 
 class MetaDataSvc(Service):
@@ -68,9 +58,9 @@ class MetaDataSvc(Service):
             for spec in component.specs.values():
                 entries[f"{component.name}.{spec.name}"] = value_to_text(spec.applied)
         for lineage in job.lineage:
-            base = f"{LINEAGE_PREFIX}.I{lineage.ordinal}"
-            entries[f"{base}.Path"] = value_to_text(OptionValue.of(lineage.path))
-            entries[f"{base}.Checksum"] = value_to_text(OptionValue.of(lineage.checksum))
+            for field, value in (("Path", lineage.path), ("Checksum", lineage.checksum)):
+                entries[lineage_key(lineage.ordinal, field)] = value_to_text(
+                    OptionValue.of(value))
         return MetadataDictionary(entries)
 
     def get_metadata(self) -> MetadataDictionary:

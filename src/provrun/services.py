@@ -3,6 +3,7 @@ management, the per-event data store, and container persistency."""
 
 from __future__ import annotations
 
+import re
 import sys
 from typing import Optional
 
@@ -17,9 +18,11 @@ from .errors import (
 )
 from .events import encode_events
 from .container import write_container
-from .options import Kind, OptionKey, OptionsSet, OptionValue
+from .options import Kind, OptionKey, OptionValue
 
 LINEAGE_COMPONENT = "Provenance"
+# ordinals are canonical decimals, so one input cannot be named two ways
+_LINEAGE_PROP = re.compile(r"Inputs\.I(0|[1-9][0-9]*)\.(Path|Checksum)\Z")
 
 LEVEL_DEBUG = 0
 LEVEL_VERBOSE = 1
@@ -28,6 +31,20 @@ LEVEL_WARNING = 3
 LEVEL_ERROR = 4
 
 _LEVEL_NAMES = {0: "DEBUG", 1: "VERBOSE", 2: "INFO", 3: "WARNING", 4: "ERROR"}
+
+
+def lineage_key(ordinal: int, field: str) -> str:
+    """The reserved key recording input `ordinal`'s Path or Checksum."""
+    return f"{LINEAGE_COMPONENT}.Inputs.I{ordinal}.{field}"
+
+
+def parse_lineage_key(key: OptionKey) -> tuple[int, str]:
+    """Ordinal and field (Path or Checksum) of a reserved lineage key."""
+    match = _LINEAGE_PROP.match(key.prop)
+    if match is None:
+        raise UnknownProperty(f"{key.text} is not a valid reserved lineage key "
+                              f"({LINEAGE_COMPONENT}.Inputs.I<n>.Path/Checksum)")
+    return int(match[1]), match[2]
 
 
 class Service(Component):
@@ -77,22 +94,13 @@ class JobOptionsSvc(Service):
 
     @staticmethod
     def _declare_lineage(job, key: OptionKey, value: OptionValue) -> None:
-        segments = key.prop.split(".")
-        ok = (len(segments) == 3 and segments[0] == "Inputs"
-              and segments[1].startswith("I") and segments[1][1:].isdigit()
-              and segments[2] in ("Path", "Checksum"))
-        if not ok:
-            raise UnknownProperty(f"{key.text} is not a valid reserved "
-                                  f"lineage key (Provenance.Inputs.I<n>.Path/Checksum)")
-        ordinal = int(segments[1][1:])
-        if segments[2] == "Path":
+        ordinal, field = parse_lineage_key(key)
+        if field == "Path":
             if value.kind is not Kind.TEXT:
                 raise KindMismatch(f"{key.text} must be text")
-            job.declare_input_path(ordinal, value.value)
-        else:
-            if value.kind is not Kind.INTEGER or not 0 <= value.value <= 0xFFFFFFFF:
-                raise KindMismatch(f"{key.text} must be a crc32c integer")
-            job.declare_input_checksum(ordinal, value.value)
+        elif value.kind is not Kind.INTEGER or not 0 <= value.value <= 0xFFFFFFFF:
+            raise KindMismatch(f"{key.text} must be a crc32c integer")
+        job.expected_inputs.setdefault(ordinal, {})[field] = value.value
 
     @staticmethod
     def _check_metadata_consistency(job) -> None:
@@ -104,17 +112,9 @@ class JobOptionsSvc(Service):
 
     def record_lineage_applied(self, ordinal: int, path: str, checksum: int) -> None:
         """Consumed lineage declarations count as applied assignments."""
-        base = f"{LINEAGE_COMPONENT}.Inputs.I{ordinal}"
-        self.applied_log.append((OptionKey.parse(f"{base}.Path"), OptionValue.of(path)))
-        self.applied_log.append((OptionKey.parse(f"{base}.Checksum"),
-                                 OptionValue.of(checksum)))
-
-
-def apply_options(job, config: Optional[OptionsSet] = None):
-    """Apply a config to the job's components; returns the applied log."""
-    if config is not None:
-        job.config = config
-    return job.options_svc.apply_all(job)
+        for field, value in (("Path", path), ("Checksum", checksum)):
+            self.applied_log.append((OptionKey.parse(lineage_key(ordinal, field)),
+                                     OptionValue.of(value)))
 
 
 class ToolSvc(Service):
@@ -201,13 +201,6 @@ class ServiceRegistry:
 
     def __iter__(self):
         return iter(self.services)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
-    def start_all(self, job) -> None:
-        for svc in self.services:
-            svc.start(job)
 
     def stop_all(self, job) -> None:
         for svc in reversed(self.services):

@@ -4,7 +4,14 @@ import hashlib
 
 import pytest
 
-from provrun import emit_canonical, extract_info, parse_options, read_block
+from provrun import (
+    ContainerReader,
+    emit_canonical,
+    extract_info,
+    parse_options,
+    read_block,
+    write_container,
+)
 from provrun.cli import EXIT_ERROR, EXIT_OK, EXIT_VERIFY, main
 
 from helpers import demo_config
@@ -198,9 +205,11 @@ def test_replay_detects_changed_input(tmp_path, capsys):
                                         RandomEventSource__NumEvents=8,
                                         RandomEventSource__Seed=999))
     main(["run", str(first_cfg)])
-    code = main(["replay", str(second), str(tmp_path / "r.pdc")])
+    out = tmp_path / "r.pdc"
+    code = main(["replay", str(second), str(out)])
     assert code == EXIT_VERIFY
     assert "checksum" in capsys.readouterr().err.lower()
+    assert not out.exists()
 
 
 def test_replay_detects_missing_input(tmp_path, capsys):
@@ -215,7 +224,57 @@ def test_replay_detects_missing_input(tmp_path, capsys):
         FileEventSource__Input=str(first)))
     main(["run", str(second_cfg)])
     first.unlink()
-    assert main(["replay", str(second), str(tmp_path / "r.pdc")]) == EXIT_VERIFY
+    out = tmp_path / "r.pdc"
+    assert main(["replay", str(second), str(out)]) == EXIT_VERIFY
+    assert not out.exists()
+
+
+def derived_from_source(tmp_path):
+    """A source container and a FileEventSource job's container built on it."""
+    source = tmp_path / "src.pdc"
+    source_cfg = tmp_path / "src.opts"
+    write_config(source_cfg, demo_config(source, algorithms=("RandomEventSource",),
+                                         RandomEventSource__NumEvents=8))
+    assert main(["run", str(source_cfg)]) == EXIT_OK
+    derived = tmp_path / "derived.pdc"
+    derived_cfg = tmp_path / "derived.opts"
+    write_config(derived_cfg, demo_config(
+        derived, algorithms=("FileEventSource", "Accumulator"),
+        FileEventSource__Input=str(source)))
+    assert main(["run", str(derived_cfg)]) == EXIT_OK
+    return source, derived
+
+
+def test_run_refuses_to_overwrite_its_input(tmp_path, capsys):
+    source, _ = derived_from_source(tmp_path)
+    before = source.read_bytes()
+    link = tmp_path / "link.pdc"  # the same file under another name
+    link.symlink_to(source)
+    cfg = tmp_path / "self.opts"
+    write_config(cfg, demo_config(link, algorithms=("FileEventSource",),
+                                  FileEventSource__Input=str(source)))
+    assert main(["run", str(cfg)]) == EXIT_ERROR
+    assert "overwrite" in capsys.readouterr().err
+    assert source.read_bytes() == before
+
+
+def test_replay_refuses_to_overwrite_its_input(tmp_path, capsys):
+    source, derived = derived_from_source(tmp_path)
+    before = source.read_bytes()
+    assert main(["replay", str(derived), str(source)]) == EXIT_ERROR
+    assert "overwrite" in capsys.readouterr().err
+    assert source.read_bytes() == before
+
+
+def test_replay_detects_tampered_summary(tmp_path, capsys):
+    _, derived = derived_from_source(tmp_path)
+    with ContainerReader(derived) as reader:
+        blocks = [(name, reader.read_block(name)) for name in reader.block_names()]
+    blocks = [(name, b"Accumulator.Count = 0\n" if name == "summary" else payload)
+              for name, payload in blocks]
+    write_container(derived, blocks)  # a valid container with a forged summary
+    assert main(["replay", str(derived), str(tmp_path / "r.pdc")]) == EXIT_VERIFY
+    assert "summary" in capsys.readouterr().err
 
 
 def test_diff_with_itself_is_empty(demo_files, capsys):

@@ -8,7 +8,6 @@ from provrun import (
     OptionsSet,
     build_job,
     extract_info,
-    is_enabled,
     parse_options,
     run_job,
     value_to_text,
@@ -20,16 +19,16 @@ from helpers import demo_config, random_demo_config
 
 def test_is_enabled_by_membership():
     config = OptionsSet([("ApplicationMgr.Services", ["MessageSvc", "MetaDataSvc"])])
-    assert is_enabled(config) is True
+    assert build_job(config).metadata_svc is not None
 
 
 def test_is_enabled_false_without_membership():
     config = OptionsSet([("ApplicationMgr.Services", ["MessageSvc"])])
-    assert is_enabled(config) is False
+    assert build_job(config).metadata_svc is None
 
 
 def test_is_enabled_false_when_services_absent():
-    assert is_enabled(OptionsSet()) is False
+    assert build_job(OptionsSet()).metadata_svc is None
 
 
 def test_capture_records_app_identity(tmp_path):
@@ -100,7 +99,7 @@ def test_start_is_idempotent(tmp_path):
 def test_snapshot_reenables_capture_on_replay(tmp_path):
     job = run_job(demo_config(tmp_path / "self.pdc"))
     snapshot = job.metadata_svc.get_metadata()
-    assert is_enabled(parse_options(snapshot.emit())) is True
+    assert build_job(parse_options(snapshot.emit())).metadata_svc is not None
 
 
 def test_enabled_false_while_listed_is_rejected(tmp_path):
@@ -163,6 +162,16 @@ def test_lineage_declared_path_must_match_configured_input(tmp_path):
 def test_malformed_reserved_lineage_key_is_rejected(tmp_path):
     config = demo_config(tmp_path / "x.pdc")
     config.set("Provenance.Foo", 1)
+    job = run_job(config)
+    from provrun.errors import UnknownProperty
+
+    assert isinstance(job.failure, UnknownProperty)
+
+
+@pytest.mark.parametrize("ordinal", ["I00", "I01"])
+def test_noncanonical_lineage_ordinals_are_rejected(tmp_path, ordinal):
+    config = demo_config(tmp_path / "x.pdc")
+    config.set(f"Provenance.Inputs.{ordinal}.Path", "somewhere.pdc")
     job = run_job(config)
     from provrun.errors import UnknownProperty
 

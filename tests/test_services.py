@@ -6,7 +6,7 @@ import pytest
 
 from provrun import OptionsSet, build_job, run_job, standard_catalogue
 from provrun.errors import UnknownTool
-from provrun.services import Service, apply_options
+from provrun.services import Service
 
 from helpers import demo_config, random_demo_config
 
@@ -20,7 +20,7 @@ def test_apply_log_contains_exactly_the_assignments():
         ("ApplicationMgr.AppVersion", "v1r0"),
     ])
     job = build_job(config)
-    log = apply_options(job)
+    log = job.options_svc.apply_all(job)
     assert sorted(key.text for key, _ in log) == [
         "ApplicationMgr.AppName",
         "ApplicationMgr.AppVersion",
@@ -30,7 +30,7 @@ def test_apply_log_contains_exactly_the_assignments():
 
 def test_apply_log_empty_for_empty_config():
     job = build_job(OptionsSet())
-    assert apply_options(job) == []
+    assert job.options_svc.apply_all(job) == []
 
 
 def test_apply_log_length_matches_assignment_count():
@@ -39,7 +39,7 @@ def test_apply_log_length_matches_assignment_count():
         config = random_demo_config(rnd, "")
         config.set("ApplicationMgr.OutputFile", "")
         job = build_job(config)
-        log = apply_options(job)
+        log = job.options_svc.apply_all(job)
         assert len(log) == len(config)
 
 
