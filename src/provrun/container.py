@@ -14,13 +14,17 @@ File layout (integers little-endian):
     trailer          u32 crc32c over the TOC bytes
 
 The TOC sits at the end, after the payloads whose offsets and checksums it
-records; the writer assembles the whole file in memory and writes it in
-one call. Readers seek straight to the TOC, so extracting `info` touches
-only the TOC plus that one block regardless of file size.
+records. Every offset is known before the first byte is written, so the
+writer streams header, payloads, TOC and trailer in order to a temporary
+file beside the target and then renames it onto the target: a failed
+write leaves any earlier file at that path as it was. Readers seek
+straight to the TOC, so extracting `info` touches only the TOC plus that
+one block regardless of file size.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import struct
@@ -77,7 +81,8 @@ def _check_info_canonical(payload: bytes) -> None:
 def write_container(path, blocks: Iterable[tuple[str, bytes]]) -> dict[str, int]:
     """Write the container; returns each block's crc32c by name.
 
-    Rewriting the same blocks yields byte-identical files.
+    Rewriting the same blocks yields byte-identical files. A failed write
+    raises WriteFailure and leaves any earlier file at `path` as it was.
     """
     pairs = _normalize_blocks(blocks)
     for name, payload in pairs:
@@ -86,7 +91,6 @@ def write_container(path, blocks: Iterable[tuple[str, bytes]]) -> dict[str, int]
     checksums: dict[str, int] = {}
     offset = _HEADER.size
     toc_parts = [_U32.pack(len(pairs))]
-    body_parts = []
     for name, payload in pairs:
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
@@ -95,15 +99,20 @@ def write_container(path, blocks: Iterable[tuple[str, bytes]]) -> dict[str, int]
         checksums[name] = crc
         toc_parts.append(_U16.pack(len(encoded)) + encoded
                          + _TOC_ENTRY_TAIL.pack(offset, len(payload), crc))
-        body_parts.append(payload)
         offset += len(payload)
     toc = b"".join(toc_parts)
-    data = (_HEADER.pack(MAGIC, FORMAT_VERSION, offset)
-            + b"".join(body_parts) + toc + _U32.pack(crc32c(toc)))
+    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(path, "wb") as handle:
-            handle.write(data)
+        with open(temporary, "wb") as handle:
+            handle.write(_HEADER.pack(MAGIC, FORMAT_VERSION, offset))
+            for _, payload in pairs:
+                handle.write(payload)
+            handle.write(toc)
+            handle.write(_U32.pack(crc32c(toc)))
+        os.replace(temporary, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(temporary)
         raise WriteFailure(f"cannot write {path}: {exc}") from exc
     return checksums
 

@@ -1,21 +1,29 @@
 """Container format: round trips, corruption detection, reader locality."""
 
+import builtins
+import contextlib
+import errno
+import io
 import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import provrun.container
 from provrun import ContainerReader, read_block, write_container
 from provrun.crc import crc32c
 from provrun.errors import (
     BadMagic,
     ChecksumMismatch,
+    ContainerError,
     CorruptContainer,
     DuplicateBlock,
     MissingInfo,
     ReservedNameMisuse,
     UnknownBlock,
     UnsupportedVersion,
+    WriteFailure,
 )
 from provrun.container import extract_info
 from provrun.events import decode_events, encode_events
@@ -119,6 +127,30 @@ def test_every_payload_byte_flip_is_detected(tmp_path):
     path.write_bytes(original)
 
 
+def test_byte_flips_on_the_lane_path_are_detected(tmp_path):
+    # Two 1 MiB chunks of 2048 lanes x 512 B plus an odd tail, so the block
+    # CRC takes the lane path.
+    lane, chunk = 512, 2048 * 512
+    payload = random.Random(11).randbytes(2 * chunk + 333)
+    path = tmp_path / "lanes.pdc"
+    write_container(path, [("events", payload)])
+    payload_start = 20
+    first_lane, middle_lane, last_lane = 5, 1000 * lane + 100, chunk - 1
+    second_chunk, tail = chunk + 7, len(payload) - 1
+    with open(path, "r+b") as handle:
+        for pos in (first_lane, middle_lane, last_lane, second_chunk, tail):
+            handle.seek(payload_start + pos)
+            handle.write(bytes([payload[pos] ^ 0x10]))
+            handle.flush()
+            with ContainerReader(path) as reader:
+                with pytest.raises(ChecksumMismatch):
+                    reader.read_block("events")
+            handle.seek(payload_start + pos)
+            handle.write(payload[pos:pos + 1])
+            handle.flush()
+    assert read_block(path, "events") == payload
+
+
 def test_toc_corruption_detected(tmp_path):
     path = tmp_path / "toc.pdc"
     write_container(path, [("events", b"abc")])
@@ -167,6 +199,58 @@ def test_extract_info_missing(tmp_path):
         extract_info(path)
 
 
+class FailingFile:
+    """Writes through to a real file, then fails with ENOSPC after `limit` bytes."""
+
+    def __init__(self, raw, limit):
+        self.raw, self.left = raw, limit
+
+    def write(self, data):
+        if len(data) > self.left:
+            self.raw.write(data[:self.left])
+            self.left = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.left -= len(data)
+        return self.raw.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.raw.close()
+
+
+@pytest.mark.parametrize("limit", [0, 10, 20, 3000, 4055])
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, limit):
+    path = tmp_path / "out.pdc"
+    write_container(path, [("events", b"old")])
+    before = path.read_bytes()
+    # 20 B header, 4000 B payload, TOC (4 + 2 + 6 + 20 B), 4 B trailer: 4056 B
+    blocks = [("events", random.Random(2).randbytes(4000))]
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        return FailingFile(builtins.open(file, mode, *args, **kwargs), limit)
+
+    monkeypatch.setattr(provrun.container, "open", failing_open, raising=False)
+    with pytest.raises(WriteFailure):
+        write_container(path, blocks)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.pdc"]
+    monkeypatch.delattr(provrun.container, "open")
+    write_container(path, blocks)
+    assert read_block(path, "events") == blocks[0][1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.pdc"]
+
+
+def test_failed_rename_leaves_no_temporary(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(WriteFailure):
+        write_container(target, [("events", b"data")])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert list(target.iterdir()) == []
+
+
 class CountingFile:
     def __init__(self, raw):
         self.raw = raw
@@ -194,6 +278,51 @@ def test_extract_info_reads_only_toc_and_info(tmp_path):
         info = extract_info(counting)
     assert info["A.X"] == "1"
     assert counting.bytes_read < size * 0.01
+
+
+_TOTALITY_BLOCKS = [("events", random.Random(4).randbytes(70 * 512 + 13)),
+                    ("summary", b"ABCDEFGH"), ("info", b'A.X = 1\nB.Y = "s"\n')]
+
+
+@pytest.fixture(scope="module")
+def totality_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("totality") / "base.pdc"
+    write_container(path, _TOTALITY_BLOCKS)
+    return path.read_bytes()
+
+
+_SIZE = 20 + sum(len(p) for _, p in _TOTALITY_BLOCKS) + 4 + sum(
+    2 + len(name) + 20 for name, _ in _TOTALITY_BLOCKS) + 4
+# Header and TOC are small, so weight the positions towards both ends.
+_positions = st.one_of(st.integers(0, 40), st.integers(_SIZE - 120, _SIZE - 1),
+                       st.integers(0, _SIZE - 1))
+_edits = st.lists(st.one_of(
+    st.tuples(st.just("truncate"), _positions),
+    st.tuples(st.just("mutate"), _positions, st.integers(1, 255)),
+    st.tuples(st.just("insert"), _positions, st.integers(0, 255)),
+), min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(edits=_edits)
+def test_reader_raises_only_container_errors(totality_bytes, edits):
+    data = bytearray(totality_bytes)
+    assert len(data) == _SIZE
+    for edit in edits:
+        pos = min(edit[1], len(data))
+        if edit[0] == "truncate":
+            del data[pos:]
+        elif edit[0] == "mutate" and pos < len(data):
+            data[pos] ^= edit[2]
+        elif edit[0] == "insert":
+            data[pos:pos] = bytes([edit[2]])
+    with contextlib.suppress(ContainerError):
+        with ContainerReader(io.BytesIO(bytes(data))) as reader:
+            for name in reader.block_names():
+                with contextlib.suppress(ContainerError):
+                    reader.read_block(name)
+    with contextlib.suppress(ContainerError):
+        extract_info(io.BytesIO(bytes(data)))
 
 
 # --- events payload codec ----------------------------------------------------
