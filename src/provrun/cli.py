@@ -9,6 +9,7 @@ scripts can tell triage outcomes apart.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -17,6 +18,7 @@ from .core import PhaseStatus, run_job
 from .diff import DiffReport, diff_dictionaries
 from .errors import (
     ChecksumMismatch,
+    InvalidConfiguration,
     LineageError,
     MissingInfo,
     OptionsError,
@@ -97,8 +99,16 @@ def cmd_view(container_path: str, fmt: str = "table") -> int:
     return EXIT_OK
 
 
+def _refuse_overwrite(container_path: str, out_path: str) -> None:
+    """Raise if `out_path` names the existing input container, symlinks included."""
+    if os.path.exists(out_path) and os.path.samefile(container_path, out_path):
+        raise InvalidConfiguration(
+            f"{out_path!r} would overwrite the input container {container_path!r}")
+
+
 def cmd_export(container_path: str, out_path: str) -> int:
     info = extract_info(container_path)
+    _refuse_overwrite(container_path, out_path)
     text = info.emit()
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
@@ -121,6 +131,7 @@ def cmd_replay(container_path: str, out_path: str) -> int:
         info = extract_info(container_path)
     except MissingInfo:
         return _fail(f"no provenance recorded in {container_path}")
+    _refuse_overwrite(container_path, out_path)
     original = _payload_checksums(container_path)
 
     config = info.to_options()

@@ -1,4 +1,4 @@
-"""The job-options configuration language.
+r"""The job-options configuration language.
 
 Documents are line-oriented: every line is blank, a ``#`` comment, or an
 assignment ``Component.Property = value``. Values are 64-bit signed
@@ -8,6 +8,20 @@ keys sorted by the UTF-8 bytes of the full dotted key, LF line endings,
 a single space around ``=``, floats rendered as the shortest decimal
 string that parses back to the same bits. Parsing the canonical emission
 of any set reproduces the set; re-emitting is a byte fixpoint.
+
+Tokens, one compiled pattern each (``[0-9]`` is ASCII only):
+
+- blank: ``[ \t]*``, around ``=`` and after a list's ``,``
+- key: ``\w*(?:\.\w*)*`` with two or more ``[A-Za-z_][A-Za-z0-9_]*`` segments
+- word: ``\w*`` that starts with a letter; only ``true`` and ``false`` are values
+- number: ``-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?`` without leading zeros
+- string: ``"`` then any character but ``"``, ``\``, a control (tab aside) or
+  a surrogate, or ``\" \\ \n \t \r \uXXXX`` (a surrogate only as a
+  high-low pair), then ``"``
+
+A list is ``[]`` or ``[v, ...]`` of scalars of one kind. Every syntax error
+is an ``OptionsSyntaxError`` with the 1-based line and column where the
+scanner stopped.
 """
 
 from __future__ import annotations
@@ -25,12 +39,6 @@ INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_WS = " \t"
-
-
-def _is_digit(ch: str) -> bool:
-    # ASCII only: str.isdigit() would admit Unicode digits the grammar forbids
-    return "0" <= ch <= "9"
 
 
 class Kind(Enum):
@@ -269,254 +277,190 @@ def merge(base: OptionsSet, overlay: OptionsSet) -> OptionsSet:
 
 # --- parsing ----------------------------------------------------------------
 
-class _LineScanner:
-    """Cursor over a single source line with positioned errors."""
+_BLANK_RE = re.compile(r"[ \t]*")
+_KEY_RE = re.compile(r"\w*(?:\.\w*)*")
+_WORD_RE = re.compile(r"\w*")
+# Empty digit groups match so that the scanner can name the missing digits.
+_NUMBER_RE = re.compile(r"-?([0-9]*)(?:\.([0-9]*))?(?:[eE][+-]?([0-9]*))?")
+_HEX4_RE = re.compile(r"[0-9a-fA-F]{4}")
+# The longest valid body, then the closing quote if there is one.
+_STRING_RE = re.compile(
+    r'"((?:[^"\\\x00-\x08\x0a-\x1f\ud800-\udfff]+|\\["\\ntr]'
+    r"|\\u(?:[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}"
+    r"|(?![dD][89a-fA-F])[0-9a-fA-F]{4}))*)(\")?")
+_ESCAPE_RE = re.compile(r"\\(?:u([dD][89abAB]..)\\u(....)|u(....)|(.))", re.DOTALL)
+_TEXT_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+_TEXT_ESCAPE_RE = re.compile(r'["\\\x00-\x1f]')
+_SIMPLE_ESCAPES = {escape[1]: ch for ch, escape in _TEXT_ESCAPES.items()}
+_BOOLEANS = {"true": OptionValue(Kind.BOOLEAN, True),
+             "false": OptionValue(Kind.BOOLEAN, False)}
+_CR_MESSAGE = "carriage return: documents use LF line endings"
 
-    def __init__(self, text: str, line_no: int):
-        self.text = text
-        self.line = line_no
-        self.pos = 0
 
-    def fail(self, message: str, pos: Optional[int] = None):
-        column = (self.pos if pos is None else pos) + 1
-        raise OptionsSyntaxError(message, self.line, column)
+class _ScanError(Exception):
+    """Syntax error inside one line; args are (message, 0-based offset)."""
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        return ch
+def _scan_key(text: str, pos: int) -> tuple[OptionKey, int]:
+    end = _KEY_RE.match(text, pos).end()
+    segments = text[pos:end].split(".")
+    seg_start = pos
+    for segment in segments:
+        if not _IDENT_RE.match(segment):
+            raise _ScanError("malformed key", seg_start)
+        seg_start += len(segment) + 1
+    if len(segments) < 2:
+        raise _ScanError("malformed key: need Component.Property", pos)
+    return OptionKey.parse(text[pos:end]), end
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in _WS:
-            self.pos += 1
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
+def _scan_value(text: str, pos: int, in_list: bool = False) -> tuple[OptionValue, int]:
+    ch = text[pos:pos + 1]
+    if ch == '"':
+        return _scan_string(text, pos)
+    if ch == "[":
+        if in_list:
+            raise _ScanError("nested lists are not allowed", pos)
+        return _scan_list(text, pos)
+    if ch == "-" or "0" <= ch <= "9":
+        return _scan_number(text, pos)
+    if ch.isalpha():
+        end = _WORD_RE.match(text, pos).end()
+        word = text[pos:end]
+        if word in _BOOLEANS:
+            return _BOOLEANS[word], end
+        raise _ScanError(f"unparseable token {word!r}", pos)
+    raise _ScanError("expected a value", pos)
 
-    # tokens ------------------------------------------------------------
 
-    def scan_word(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start:self.pos]
+def _unescape(match: re.Match) -> str:
+    high, low, code, simple = match.groups()
+    if high:
+        return chr(0x10000 + ((int(high, 16) - 0xD800) << 10) + (int(low, 16) - 0xDC00))
+    return chr(int(code, 16)) if code else _SIMPLE_ESCAPES[simple]
 
-    def scan_key(self) -> OptionKey:
-        start = self.pos
-        segments = []
-        while True:
-            seg_start = self.pos
-            word = self.scan_word()
-            if not word or not _IDENT_RE.match(word):
-                self.fail("malformed key", seg_start)
-            segments.append(word)
-            if self.peek() == ".":
-                self.advance()
-            else:
-                break
-        if len(segments) < 2:
-            self.fail("malformed key: need Component.Property", start)
-        return OptionKey(segments[0], ".".join(segments[1:]))
 
-    def scan_value(self, allow_list: bool = True) -> OptionValue:
-        ch = self.peek()
-        if ch == '"':
-            return self.scan_string()
-        if ch == "[":
-            if not allow_list:
-                self.fail("nested lists are not allowed")
-            return self.scan_list()
-        if ch == "-" or _is_digit(ch):
-            return self.scan_number()
-        if ch.isalpha():
-            start = self.pos
-            word = self.scan_word()
-            if word == "true":
-                return OptionValue(Kind.BOOLEAN, True)
-            if word == "false":
-                return OptionValue(Kind.BOOLEAN, False)
-            self.fail(f"unparseable token {word!r}", start)
-        self.fail("expected a value")
+def _scan_string(text: str, pos: int) -> tuple[OptionValue, int]:
+    match = _STRING_RE.match(text, pos)
+    if match.group(2) is None:
+        raise _string_error(text, pos, match.end())
+    body = match.group(1)
+    if "\\" in body:
+        body = _ESCAPE_RE.sub(_unescape, body)
+    return OptionValue(Kind.TEXT, body), match.end()
 
-    def scan_string(self) -> OptionValue:
-        start = self.pos
-        self.advance()  # opening quote
-        out = []
-        while True:
-            if self.at_end():
-                self.fail("unterminated string", start)
-            ch = self.advance()
-            if ch == '"':
-                break
-            if ch == "\\":
-                out.append(self._scan_escape())
-            elif ch in ("\r", "\n"):
-                self.fail("raw line break in string; use \\n or \\r", self.pos - 1)
-            elif ord(ch) < 0x20 and ch != "\t":
-                self.fail(f"raw control character U+{ord(ch):04X} in string; "
-                          "use a \\u escape", self.pos - 1)
-            else:
-                out.append(ch)
-        return OptionValue(Kind.TEXT, "".join(out))
 
-    def _scan_escape(self) -> str:
-        if self.at_end():
-            self.fail("dangling escape")
-        esc = self.advance()
-        simple = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
-        if esc in simple:
-            return simple[esc]
-        if esc == "u":
-            code = self._scan_hex4()
-            if 0xD800 <= code <= 0xDBFF:
-                # high surrogate: a low-surrogate escape must follow
-                if self.peek() == "\\" and self.text[self.pos:self.pos + 2] == "\\u":
-                    self.pos += 2
-                    low = self._scan_hex4()
-                    if 0xDC00 <= low <= 0xDFFF:
-                        return chr(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
-                self.fail("lone surrogate in \\u escape", self.pos - 6)
-            if 0xDC00 <= code <= 0xDFFF:
-                self.fail("lone surrogate in \\u escape", self.pos - 6)
-            return chr(code)
-        self.fail(f"unknown escape \\{esc}", self.pos - 2)
+def _string_error(text: str, start: int, pos: int) -> _ScanError:
+    """The error for the character at `pos` that ends a string body early."""
+    if pos == len(text):
+        return _ScanError("unterminated string", start)
+    ch = text[pos]
+    if ch in "\r\n":
+        return _ScanError("raw line break in string; use \\n or \\r", pos)
+    if ch < " ":
+        return _ScanError(f"raw control character U+{ord(ch):04X} in string; "
+                          "use a \\u escape", pos)
+    if ch != "\\":
+        return _ScanError(f"raw surrogate U+{ord(ch):04X} in string; "
+                          "use a \\u escape pair", pos)
+    esc = text[pos + 1:pos + 2]
+    if not esc:
+        return _ScanError("dangling escape", pos + 1)
+    if esc != "u":
+        return _ScanError(f"unknown escape \\{esc}", pos)
+    if not _HEX4_RE.match(text, pos + 2):
+        return _ScanError("\\u escape needs four hex digits", pos + 2)
+    # A valid \u escape ends the body only as a surrogate outside a pair. A
+    # high one followed by another \u escape is reported at that escape.
+    if int(text[pos + 2:pos + 6], 16) < 0xDC00 and text.startswith("\\u", pos + 6):
+        if not _HEX4_RE.match(text, pos + 8):
+            return _ScanError("\\u escape needs four hex digits", pos + 8)
+        pos += 6
+    return _ScanError("lone surrogate in \\u escape", pos)
 
-    def _scan_hex4(self) -> int:
-        digits = self.text[self.pos:self.pos + 4]
-        if len(digits) < 4 or any(c not in "0123456789abcdefABCDEF" for c in digits):
-            self.fail("\\u escape needs four hex digits")
-        self.pos += 4
-        return int(digits, 16)
 
-    def scan_list(self) -> OptionValue:
-        self.advance()  # '['
-        items: list[OptionValue] = []
-        if self.peek() == "]":
-            self.advance()
-            return OptionValue(Kind.LIST, ())
-        while True:
-            item_start = self.pos
-            item = self.scan_value(allow_list=False)
-            if items and item.kind is not items[0].kind:
-                self.fail(f"heterogeneous list: {items[0].kind.value} "
-                          f"then {item.kind.value}", item_start)
-            items.append(item)
-            ch = self.peek()
-            if ch == "]":
-                self.advance()
-                return OptionValue(Kind.LIST, tuple(items))
-            if ch == ",":
-                self.advance()
-                self.skip_ws()
-                continue
-            self.fail("expected ',' or ']' in list")
+def _scan_list(text: str, pos: int) -> tuple[OptionValue, int]:
+    pos += 1
+    if text.startswith("]", pos):
+        return OptionValue(Kind.LIST, ()), pos + 1
+    items: list[OptionValue] = []
+    while True:
+        item, end = _scan_value(text, pos, in_list=True)
+        if items and item.kind is not items[0].kind:
+            raise _ScanError(f"heterogeneous list: {items[0].kind.value} "
+                             f"then {item.kind.value}", pos)
+        items.append(item)
+        if text.startswith("]", end):
+            return OptionValue(Kind.LIST, tuple(items)), end + 1
+        if not text.startswith(",", end):
+            raise _ScanError("expected ',' or ']' in list", end)
+        pos = _BLANK_RE.match(text, end + 1).end()
 
-    def scan_number(self) -> OptionValue:
-        start = self.pos
-        if self.peek() == "-":
-            self.advance()
-        int_start = self.pos
-        while _is_digit(self.peek()):
-            self.advance()
-        int_digits = self.text[int_start:self.pos]
-        if not int_digits:
-            self.fail("expected digits", start)
-        if len(int_digits) > 1 and int_digits[0] == "0":
-            self.fail("leading zeros are not allowed", int_start)
-        is_float = False
-        if self.peek() == ".":
-            is_float = True
-            self.advance()
-            frac_start = self.pos
-            while _is_digit(self.peek()):
-                self.advance()
-            if self.pos == frac_start:
-                self.fail("expected digits after '.'")
-        if self.peek() in ("e", "E"):
-            is_float = True
-            self.advance()
-            if self.peek() in ("+", "-"):
-                self.advance()
-            exp_start = self.pos
-            while _is_digit(self.peek()):
-                self.advance()
-            if self.pos == exp_start:
-                self.fail("expected digits in exponent")
-        token = self.text[start:self.pos]
-        if is_float:
-            value = float(token)
-            if not math.isfinite(value):
-                self.fail(f"float literal {token!r} is not a finite double", start)
-            return OptionValue(Kind.FLOAT, value)
-        number = int(token)
-        if not INT64_MIN <= number <= INT64_MAX:
-            self.fail(f"integer {token} outside the 64-bit signed range", start)
-        return OptionValue(Kind.INTEGER, number)
+
+def _scan_number(text: str, pos: int) -> tuple[OptionValue, int]:
+    match = _NUMBER_RE.match(text, pos)
+    int_digits, frac_digits, exp_digits = match.groups()
+    if not int_digits:
+        raise _ScanError("expected digits", pos)
+    if len(int_digits) > 1 and int_digits[0] == "0":
+        raise _ScanError("leading zeros are not allowed", match.start(1))
+    if frac_digits == "":
+        raise _ScanError("expected digits after '.'", match.start(2))
+    if exp_digits == "":
+        raise _ScanError("expected digits in exponent", match.start(3))
+    token = match.group()
+    if frac_digits is None and exp_digits is None:
+        # 19 digits bound int64 and keep int() under its digit limit
+        if len(int_digits) > 19 or not INT64_MIN <= int(token) <= INT64_MAX:
+            raise _ScanError(f"integer {token} outside the 64-bit signed range", pos)
+        return OptionValue(Kind.INTEGER, int(token)), match.end()
+    value = float(token)
+    if not math.isfinite(value):
+        raise _ScanError(f"float literal {token!r} is not a finite double", pos)
+    return OptionValue(Kind.FLOAT, value), match.end()
 
 
 def parse_options(text: str) -> OptionsSet:
     """Parse a document; later assignments to a key override earlier ones."""
     out = OptionsSet()
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        scanner = _LineScanner(raw, line_no)
-        scanner.skip_ws()
-        if scanner.at_end():
-            continue
-        ch = scanner.peek()
-        if ch == "#":
-            continue
-        if ch == "\r":
-            scanner.fail("carriage return: documents use LF line endings")
-        key = scanner.scan_key()
-        scanner.skip_ws()
-        if scanner.peek() != "=":
-            scanner.fail("expected '=' after key")
-        scanner.advance()
-        scanner.skip_ws()
-        value = scanner.scan_value()
-        scanner.skip_ws()
-        if not scanner.at_end():
-            if scanner.peek() == "\r":
-                scanner.fail("carriage return: documents use LF line endings")
-            scanner.fail("unexpected text after value")
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        try:
+            pos = _BLANK_RE.match(line).end()
+            if pos == len(line) or line[pos] == "#":
+                continue
+            if line[pos] == "\r":
+                raise _ScanError(_CR_MESSAGE, pos)
+            key, pos = _scan_key(line, pos)
+            pos = _BLANK_RE.match(line, pos).end()
+            if not line.startswith("=", pos):
+                raise _ScanError("expected '=' after key", pos)
+            value, pos = _scan_value(line, _BLANK_RE.match(line, pos + 1).end())
+            pos = _BLANK_RE.match(line, pos).end()
+            if pos < len(line):
+                raise _ScanError(_CR_MESSAGE if line[pos] == "\r"
+                                 else "unexpected text after value", pos)
+        except _ScanError as exc:
+            raise OptionsSyntaxError(exc.args[0], line_no, exc.args[1] + 1) from None
         out.set(key, value)
     return out
 
 
 def parse_value(text: str) -> OptionValue:
     """Parse one value token; the whole string must be consumed."""
-    scanner = _LineScanner(text, 1)
-    value = scanner.scan_value()
-    if not scanner.at_end():
-        scanner.fail("unexpected text after value")
+    try:
+        value, pos = _scan_value(text, 0)
+        if pos < len(text):
+            raise _ScanError("unexpected text after value", pos)
+    except _ScanError as exc:
+        raise OptionsSyntaxError(exc.args[0], 1, exc.args[1] + 1) from None
     return value
 
 
 # --- canonical emission ------------------------------------------------------
 
-def _escape_text(text: str) -> str:
-    out = ['"']
-    for ch in text:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+def _escape_char(match: re.Match) -> str:
+    ch = match.group()
+    return _TEXT_ESCAPES.get(ch) or f"\\u{ord(ch):04x}"
 
 
 def value_to_text(value: OptionValue) -> str:
@@ -529,7 +473,7 @@ def value_to_text(value: OptionValue) -> str:
     if value.kind is Kind.BOOLEAN:
         return "true" if value.value else "false"
     if value.kind is Kind.TEXT:
-        return _escape_text(value.value)
+        return '"' + _TEXT_ESCAPE_RE.sub(_escape_char, value.value) + '"'
     return "[" + ", ".join(value_to_text(item) for item in value.value) + "]"
 
 

@@ -266,15 +266,50 @@ def test_replay_refuses_to_overwrite_its_input(tmp_path, capsys):
     assert source.read_bytes() == before
 
 
-def test_replay_detects_tampered_summary(tmp_path, capsys):
-    _, derived = derived_from_source(tmp_path)
+def forge_summary(derived):
+    """Rewrite `derived` as a valid container with a forged summary block."""
     with ContainerReader(derived) as reader:
         blocks = [(name, reader.read_block(name)) for name in reader.block_names()]
-    blocks = [(name, b"Accumulator.Count = 0\n" if name == "summary" else payload)
-              for name, payload in blocks]
-    write_container(derived, blocks)  # a valid container with a forged summary
+    write_container(derived, [(name, b"Accumulator.Count = 0\n" if name == "summary"
+                                     else payload) for name, payload in blocks])
+
+
+def test_replay_detects_tampered_summary(tmp_path, capsys):
+    _, derived = derived_from_source(tmp_path)
+    forge_summary(derived)
     assert main(["replay", str(derived), str(tmp_path / "r.pdc")]) == EXIT_VERIFY
     assert "summary" in capsys.readouterr().err
+
+
+def same_file_name(tmp_path, path, via_link):
+    if not via_link:
+        return path
+    link = tmp_path / "link.pdc"
+    link.symlink_to(path)
+    return link
+
+
+@pytest.mark.parametrize("via_link", [False, True])
+def test_replay_refuses_to_overwrite_the_container_it_reads(tmp_path, capsys, via_link):
+    _, derived = derived_from_source(tmp_path)
+    forge_summary(derived)  # replaying it would write different bytes
+    before = derived.read_bytes()
+    out = same_file_name(tmp_path, derived, via_link)
+    assert main(["replay", str(derived), str(out)]) == EXIT_ERROR
+    assert "overwrite" in capsys.readouterr().err
+    assert derived.read_bytes() == before
+
+
+@pytest.mark.parametrize("via_link", [False, True])
+def test_export_refuses_to_overwrite_the_container_it_reads(demo_files, tmp_path,
+                                                            capsys, via_link):
+    config_path, container = demo_files
+    main(["run", str(config_path)])
+    before = container.read_bytes()
+    out = same_file_name(tmp_path, container, via_link)
+    assert main(["export", str(container), str(out)]) == EXIT_ERROR
+    assert "overwrite" in capsys.readouterr().err
+    assert container.read_bytes() == before
 
 
 def test_diff_with_itself_is_empty(demo_files, capsys):

@@ -303,7 +303,7 @@ _edits = st.lists(st.one_of(
 ), min_size=1, max_size=3)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(edits=_edits)
 def test_reader_raises_only_container_errors(totality_bytes, edits):
     data = bytearray(totality_bytes)

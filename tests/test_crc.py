@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from provrun.crc import _crc32c_bytewise, crc32c
 
 KIB, MIB = 1024, 1024 * 1024
-_SETTINGS = settings(max_examples=8, deadline=None, derandomize=True, database=None)
+_SETTINGS = settings(max_examples=8)
 
 
 def _data(n: int, seed: int) -> bytes:

@@ -4,6 +4,7 @@ import random
 import struct
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from provrun import (
     Kind,
@@ -17,6 +18,7 @@ from provrun import (
     value_to_text,
 )
 from provrun.errors import InvalidOptionValue, OptionsSyntaxError
+from provrun.options import INT64_MAX, INT64_MIN
 
 from helpers import random_finite_double, random_options_set
 
@@ -78,30 +80,60 @@ def test_parse_negative_numbers_and_exponents():
     assert parsed["A.H"].python() == 1e-05
 
 
-@pytest.mark.parametrize("bad, fragment", [
-    ("A = 1", "malformed key"),
-    ("A.B == 1", "expected a value"),
-    ("A.B = 01", "leading zeros"),
-    ("A.B = 1e999", "finite"),
-    ("A.B = [1, 2.5]", "heterogeneous"),
-    ("A.B = [[1]]", "nested"),
-    ('A.B = "open', "unterminated"),
-    ("A.B = tru", "unparseable"),
-    ("A.B = 1 trailing", "unexpected text"),
-    ("A.B = 1\r", "carriage return"),
-    ("9A.B = 1", "malformed key"),
-    ("A.B = .5", "expected a value"),
-    ("A.B = 5.", "digits after"),
-    ('A.B = "\\q"', "unknown escape"),
-    ('A.B = "\\ud800"', "lone surrogate"),
-    ("A.B = 99999999999999999999", "64-bit"),
-    ("A.B = ٣", "expected a value"),     # non-ASCII digit
-    ("A.B = 1٣1", "unexpected text"),    # non-ASCII digit inside a number
-])
-def test_parse_errors(bad, fragment):
+_PARSE_ERRORS = [  # (document, message fragment, column)
+    ("A = 1", "malformed key", 1),
+    ("A.B == 1", "expected a value", 6),
+    ("A.B = 01", "leading zeros", 7),
+    ("A.B = 1e999", "finite", 7),
+    ("A.B = [1, 2.5]", "heterogeneous", 11),
+    ("A.B = [[1]]", "nested", 8),
+    ('A.B = "open', "unterminated", 7),
+    ("A.B = tru", "unparseable", 7),
+    ("A.B = 1 trailing", "unexpected text", 9),
+    ("A.B = 1\r", "carriage return", 8),
+    ("9A.B = 1", "malformed key", 1),
+    ("A.B = .5", "expected a value", 7),
+    ("A.B = 5.", "digits after", 9),
+    ('A.B = "\\q"', "unknown escape", 8),
+    ('A.B = "\\ud800"', "lone surrogate", 8),
+    ("A.B = 99999999999999999999", "64-bit", 7),
+    ("A.B = ٣", "expected a value", 7),     # non-ASCII digit
+    ("A.B = 1٣1", "unexpected text", 8),    # non-ASCII digit inside a number
+    ('A.B = "x\ud800"', "raw surrogate", 9),  # a raw one, not a \u escape
+    ("A..B = 1", "malformed key", 3),
+    (" \t\rA.B = 1", "carriage return", 3),
+    ('A.B = "\\', "dangling escape", 9),
+    ('A.B = "\\u00"', "four hex digits", 10),
+    ('A.B = "\\ud800\\u00"', "four hex digits", 16),
+    ('A.B = "\\ud800\\u0041"', "lone surrogate", 14),
+    ('A.B = "\\udc00\\u0041"', "lone surrogate", 8),
+    ('A.B = "\x01"', "control character U+0001", 8),
+    ("A.B = [1 ,2]", "expected ',' or ']'", 9),
+    ("A.B = [ ]", "expected a value", 8),
+    ("A.B = 1e+", "digits in exponent", 10),
+]
+
+
+@pytest.mark.parametrize("bad, fragment, column", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in _PARSE_ERRORS])
+def test_parse_errors(bad, fragment, column):
     with pytest.raises(OptionsSyntaxError) as err:
         parse_options(bad)
     assert fragment in str(err.value)
+    assert (err.value.line, err.value.column) == (1, column)
+
+
+@pytest.mark.parametrize("bad, fragment, column", [
+    ('"a\nb"', "raw line break", 3),
+    ("1 ", "unexpected text", 2),
+    ("true.x", "unexpected text", 5),
+    ("", "expected a value", 1),
+])
+def test_parse_value_errors(bad, fragment, column):
+    with pytest.raises(OptionsSyntaxError) as err:
+        parse_value(bad)
+    assert fragment in str(err.value)
+    assert (err.value.line, err.value.column) == (1, column)
 
 
 def test_parse_error_carries_position():
@@ -109,6 +141,76 @@ def test_parse_error_carries_position():
         parse_options("A.B = 1\nC.D = ?\n")
     assert err.value.line == 2
     assert err.value.column == 7
+
+
+# --- parser laws over generated documents -----------------------------------
+
+# Grammar characters, escapes, line breaks, controls, non-ASCII letters and
+# digits and a raw surrogate, so that most documents fail somewhere.
+_noise = st.lists(st.sampled_from(
+    list('.=[],"\\#-+eE \t\r\n0123456789Aa_') + [
+        "\\u", "\\ud83d", "\\ude00", "\\ud800", "\\u00e4", "\\n", "\x00", "\x1f",
+        "\x7f", "é", "ß", "٣", "²", "\ud800", "true", "A.B"]), max_size=10).map("".join)
+_scalar = st.one_of(
+    st.integers(INT64_MIN, INT64_MAX), st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(), st.text(max_size=6)).map(lambda v: value_to_text(OptionValue.of(v)))
+_string = st.lists(st.sampled_from(
+    ["a", "é", "٣", " ", "\t", "\\n", "\\u00e4", "\\ud83d\\ude00", "\\ud800", "\\udc00", "\\q",
+     "\ud800", "\udbff", "\udc00", "\udfff", "\x01", '"']),
+    max_size=4).map(lambda parts: '"' + "".join(parts) + '"')
+_value = st.one_of(_scalar, _noise, _string,
+                   st.lists(_scalar, max_size=3).map(lambda items: "[" + ", ".join(items) + "]"))
+_key = st.sampled_from(["A.B", "Comp_1.Sub.prop", "x.y", "A", "9A.B", "A..B", "é.B"])
+_blank = st.sampled_from(["", " ", "\t ", "  "])
+_line = st.one_of(
+    st.tuples(_key, _blank, _blank, _value, _blank).map(
+        lambda p: f"{p[0]}{p[1]}={p[2]}{p[3]}{p[4]}"),
+    _noise, st.sampled_from(["", "   ", "# comment"]))
+_documents = st.lists(_line, max_size=5).map("\n".join)
+_prefix = st.lists(st.sampled_from(["", " \t", "# c = [", "A.B = 1", 'C.D = "x"', "E.F = []"]),
+                   min_size=1, max_size=3)
+
+
+def _error_of(text):
+    try:
+        parse_options(text)
+    except OptionsSyntaxError as err:
+        return err
+    return None
+
+
+@settings(max_examples=300)
+@given(text=_documents)
+@example(text='A.B = "\ud800"')  # a raw surrogate once escaped as InvalidOptionValue
+@example(text="A.B = " + "9" * 5000)  # and a literal past int()'s digit limit as ValueError
+def test_parse_options_is_total(text):
+    err = _error_of(text)
+    if err is not None:
+        lines = text.split("\n")
+        assert 1 <= err.line <= len(lines)
+        assert 1 <= err.column <= len(lines[err.line - 1]) + 1
+
+
+@settings(max_examples=200)
+@given(text=_documents, prefix=_prefix)
+def test_error_position_moves_only_by_the_prefixed_lines(text, prefix):
+    err = _error_of(text)
+    if err is not None:
+        moved = _error_of("".join(line + "\n" for line in prefix) + text)
+        assert (moved.line, moved.column, moved.args) == (
+            err.line + len(prefix), err.column, err.args)
+
+
+@settings(max_examples=200)
+@given(text=_documents)
+def test_emit_after_parse_is_a_byte_fixpoint(text):
+    try:
+        parsed = parse_options(text)
+    except OptionsSyntaxError:
+        return
+    emitted = emit_canonical(parsed)
+    assert parse_options(emitted) == parsed
+    assert emit_canonical(parse_options(emitted)) == emitted
 
 
 def test_final_line_without_newline_is_accepted():
