@@ -24,7 +24,6 @@ from .options import (
     OptionsSet,
     OptionValue,
     emit_canonical,
-    merge,
     parse_options,
     parse_value,
     value_to_text,
@@ -55,7 +54,6 @@ __all__ = [
     "diff_dictionaries",
     "emit_canonical",
     "extract_info",
-    "merge",
     "parse_options",
     "parse_value",
     "read_block",

@@ -13,7 +13,7 @@ import os
 import sys
 from typing import Optional
 
-from .container import INFO_BLOCK, ContainerReader, extract_info
+from .container import INFO_BLOCK, ContainerReader, extract_info, write_atomically
 from .core import PhaseStatus, run_job
 from .diff import DiffReport, diff_dictionaries
 from .errors import (
@@ -109,12 +109,7 @@ def _refuse_overwrite(container_path: str, out_path: str) -> None:
 def cmd_export(container_path: str, out_path: str) -> int:
     info = extract_info(container_path)
     _refuse_overwrite(container_path, out_path)
-    text = info.emit()
-    try:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        return _fail(f"cannot write {out_path}: {exc}")
+    write_atomically(out_path, [info.emit().encode("utf-8")])
     print(f"exported {len(info)} option(s) to {out_path}", file=sys.stderr)
     return EXIT_OK
 

@@ -1,5 +1,5 @@
 """The chunked output container: named payload blocks plus a reserved `info`
-block carrying the canonical metadata document.
+block carrying the canonical metadata document, which only the writer emits.
 
 File layout (integers little-endian):
 
@@ -16,10 +16,10 @@ File layout (integers little-endian):
 The TOC sits at the end, after the payloads whose offsets and checksums it
 records. Every offset is known before the first byte is written, so the
 writer streams header, payloads, TOC and trailer in order to a temporary
-file beside the target and then renames it onto the target: a failed
-write leaves any earlier file at that path as it was. Readers seek
-straight to the TOC, so extracting `info` touches only the TOC plus that
-one block regardless of file size.
+file beside the target and then renames it onto the target
+(`write_atomically`): a failed write leaves any earlier file at that path
+as it was. Readers seek straight to the TOC, so extracting `info` touches
+only the TOC plus that one block regardless of file size.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import contextlib
 import io
 import os
 import struct
-from typing import BinaryIO, Iterable, Union
+from typing import BinaryIO, Iterable, Optional, Union
 
 from . import options
 from .crc import crc32c
@@ -59,6 +59,9 @@ def _normalize_blocks(blocks: Iterable[tuple[str, bytes]]) -> list[tuple[str, by
     pairs = list(blocks)
     seen = set()
     for name, payload in pairs:
+        if name == INFO_BLOCK:
+            raise ReservedNameMisuse(f"block {INFO_BLOCK!r} is reserved; pass the "
+                                     f"metadata as info=")
         if name in seen:
             raise DuplicateBlock(f"block {name!r} given twice")
         seen.add(name)
@@ -67,27 +70,33 @@ def _normalize_blocks(blocks: Iterable[tuple[str, bytes]]) -> list[tuple[str, by
     return [(name, bytes(payload)) for name, payload in pairs]
 
 
-def _check_info_canonical(payload: bytes) -> None:
+def write_atomically(path, chunks: Iterable[bytes]) -> None:
+    """Write `chunks` to `path` through a temporary file; on failure remove it
+    and raise WriteFailure, leaving any earlier file at `path` as it was."""
+    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        text = payload.decode("utf-8")
-        parsed = options.parse_options(text)
-    except Exception as exc:
-        raise ReservedNameMisuse(f"info payload is not a canonical options "
-                                 f"document: {exc}") from None
-    if options.emit_canonical(parsed) != text:
-        raise ReservedNameMisuse("info payload is not in canonical form")
+        with open(temporary, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+        os.replace(temporary, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(temporary)
+        raise WriteFailure(f"cannot write {path}: {exc}") from exc
 
 
-def write_container(path, blocks: Iterable[tuple[str, bytes]]) -> dict[str, int]:
+def write_container(path, blocks: Iterable[tuple[str, bytes]],
+                    info: Optional[MetadataDictionary] = None) -> dict[str, int]:
     """Write the container; returns each block's crc32c by name.
 
+    `info`, when given, is emitted as the canonical `info` block after the
+    `blocks`, none of which may be named `info` (ReservedNameMisuse).
     Rewriting the same blocks yields byte-identical files. A failed write
     raises WriteFailure and leaves any earlier file at `path` as it was.
     """
     pairs = _normalize_blocks(blocks)
-    for name, payload in pairs:
-        if name == INFO_BLOCK:
-            _check_info_canonical(payload)
+    if info is not None:
+        pairs.append((INFO_BLOCK, info.emit().encode("utf-8")))
     checksums: dict[str, int] = {}
     offset = _HEADER.size
     toc_parts = [_U32.pack(len(pairs))]
@@ -101,19 +110,9 @@ def write_container(path, blocks: Iterable[tuple[str, bytes]]) -> dict[str, int]
                          + _TOC_ENTRY_TAIL.pack(offset, len(payload), crc))
         offset += len(payload)
     toc = b"".join(toc_parts)
-    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(temporary, "wb") as handle:
-            handle.write(_HEADER.pack(MAGIC, FORMAT_VERSION, offset))
-            for _, payload in pairs:
-                handle.write(payload)
-            handle.write(toc)
-            handle.write(_U32.pack(crc32c(toc)))
-        os.replace(temporary, path)
-    except OSError as exc:
-        with contextlib.suppress(OSError):
-            os.remove(temporary)
-        raise WriteFailure(f"cannot write {path}: {exc}") from exc
+    write_atomically(path, [_HEADER.pack(MAGIC, FORMAT_VERSION, offset),
+                            *(payload for _, payload in pairs),
+                            toc, _U32.pack(crc32c(toc))])
     return checksums
 
 
@@ -226,7 +225,7 @@ def read_block(path, name: str) -> bytes:
 
 
 def extract_info(path) -> MetadataDictionary:
-    """The embedded provenance snapshot as a metadata dictionary.
+    """The embedded provenance snapshot: the parsed `info` block, wrapped.
 
     Reads only the TOC and the info block, never the payloads.
     """
@@ -240,4 +239,4 @@ def extract_info(path) -> MetadataDictionary:
     except Exception as exc:
         raise CorruptContainer(f"info block is not a valid options "
                                f"document: {exc}") from None
-    return MetadataDictionary.from_options(parsed)
+    return MetadataDictionary(parsed)

@@ -308,9 +308,9 @@ class Job:
                 output_path = self.app.value("OutputFile")
                 self.report.output_path = output_path
                 if output_path:
-                    info_text = (self.metadata_svc.get_metadata().emit()
-                                 if self.metadata_svc is not None else None)
-                    checksums = self.writer.write(output_path, info_text)
+                    info = (self.metadata_svc.get_metadata()
+                            if self.metadata_svc is not None else None)
+                    checksums = self.writer.write(output_path, info)
                     self.report.payload_checksum = checksums.get("events")
                     self.log(LEVEL_INFO, "ContainerWriterSvc",
                              f"wrote {output_path}")

@@ -110,7 +110,7 @@ class DuplicateBlock(ContainerError):
 
 
 class ReservedNameMisuse(ContainerError):
-    """`info` block payload is not a canonical options document."""
+    """A raw `info` block was given; the writer emits that block itself."""
 
 
 class MissingInfo(ContainerError):
@@ -122,4 +122,4 @@ class CorruptContainer(ContainerError):
 
 
 class WriteFailure(ContainerError):
-    """I/O error while writing the output container."""
+    """I/O error while writing an output file (a container or an export)."""

@@ -1,56 +1,58 @@
-"""The flat metadata dictionary: full dotted keys mapped to canonical value
-text, always iterated in key-byte order. This is what gets embedded in the
-output container's `info` block and what replay reconstructs a job from."""
+"""The flat metadata dictionary: a job's resolved configuration as one typed
+options set, iterated in key-byte order. This is what gets embedded in the
+output container's `info` block and what replay reconstructs a job from.
+Values stay typed from capture to disk and back; canonical value text is
+made only where values are shown (`items`, `[]`, `get`, and so `diff`)."""
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterator
 
-from .options import OptionsSet, emit_canonical, parse_value, value_to_text
+from .options import KeyLike, OptionsSet, emit_canonical, value_to_text
 
 
 class MetadataDictionary:
-    """Immutable text-to-text snapshot of a job's resolved configuration."""
+    """Immutable snapshot of a job's resolved configuration.
 
-    def __init__(self, entries: Mapping[str, str]):
-        self._entries = dict(entries)
+    Equality is that of the typed values, which canonical text mirrors:
+    `0.0` differs from `-0.0`, and `1` from `1.0`.
+    """
 
-    @classmethod
-    def from_options(cls, options_set: OptionsSet) -> "MetadataDictionary":
-        return cls({key.text: value_to_text(value) for key, value in options_set})
+    def __init__(self, options_set: OptionsSet):
+        self._options = options_set.copy()
 
     def to_options(self) -> OptionsSet:
-        out = OptionsSet()
-        for key, text in self.items():
-            out.set(key, parse_value(text))
-        return out
+        """A copy of the typed set, free for the caller to change."""
+        return self._options.copy()
 
     def emit(self) -> str:
         """Canonical options document; the single codec shared with configs."""
-        return emit_canonical(self.to_options())
+        return emit_canonical(self._options)
 
     def items(self) -> list[tuple[str, str]]:
-        return sorted(self._entries.items(), key=lambda kv: kv[0].encode("utf-8"))
+        """(full dotted key, canonical value text) pairs in key-byte order."""
+        return [(key.text, value_to_text(value)) for key, value in self._options]
 
     def keys(self) -> list[str]:
-        return [key for key, _ in self.items()]
+        return [key.text for key in self._options.keys()]
 
-    def get(self, key: str, default=None):
-        return self._entries.get(key, default)
+    def get(self, key: KeyLike, default=None):
+        value = self._options.get(key)
+        return default if value is None else value_to_text(value)
 
     def without(self, *keys: str) -> "MetadataDictionary":
         dropped = set(keys)
-        return MetadataDictionary({k: v for k, v in self._entries.items()
-                                   if k not in dropped})
+        return MetadataDictionary(OptionsSet(
+            (key, value) for key, value in self._options if key.text not in dropped))
 
-    def __getitem__(self, key: str) -> str:
-        return self._entries[key]
+    def __getitem__(self, key: KeyLike) -> str:
+        return value_to_text(self._options[key])
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
+    def __contains__(self, key: KeyLike) -> bool:
+        return key in self._options
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._options)
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         return iter(self.items())
@@ -58,7 +60,7 @@ class MetadataDictionary:
     def __eq__(self, other):
         if not isinstance(other, MetadataDictionary):
             return NotImplemented
-        return self._entries == other._entries
+        return self._options == other._options
 
     def __repr__(self):
-        return f"MetadataDictionary({len(self._entries)} entries)"
+        return f"MetadataDictionary({len(self._options)} entries)"

@@ -267,14 +267,6 @@ class OptionsSet:
         return f"OptionsSet({len(self._entries)} entries)"
 
 
-def merge(base: OptionsSet, overlay: OptionsSet) -> OptionsSet:
-    """Union of keys; overlay wins on conflicts."""
-    out = base.copy()
-    for key, value in overlay.items():
-        out.set(key, value)
-    return out
-
-
 # --- parsing ----------------------------------------------------------------
 
 _BLANK_RE = re.compile(r"[ \t]*")
@@ -303,15 +295,16 @@ class _ScanError(Exception):
 
 def _scan_key(text: str, pos: int) -> tuple[OptionKey, int]:
     end = _KEY_RE.match(text, pos).end()
-    segments = text[pos:end].split(".")
+    try:
+        return OptionKey.parse(text[pos:end]), end  # the key checks its segments
+    except InvalidOptionValue:
+        pass  # find the column of the first bad segment
     seg_start = pos
-    for segment in segments:
+    for segment in text[pos:end].split("."):
         if not _IDENT_RE.match(segment):
             raise _ScanError("malformed key", seg_start)
         seg_start += len(segment) + 1
-    if len(segments) < 2:
-        raise _ScanError("malformed key: need Component.Property", pos)
-    return OptionKey.parse(text[pos:end]), end
+    raise _ScanError("malformed key: need Component.Property", pos)
 
 
 def _scan_value(text: str, pos: int, in_list: bool = False) -> tuple[OptionValue, int]:

@@ -3,11 +3,11 @@
 Invoked from finalize only, after every option has been applied, so the
 snapshot sees the fully resolved configuration: for each instantiated
 component (algorithms, services, tools) every declared property is
-recorded with the canonical text of its resolved value, whether it was
-set explicitly or left at its default. Input lineage (path + checksum of
-each consumed container) rides along under the reserved lineage keys of
-`services.lineage_key`. The dictionary never contains wall-clock
-times or host identity, which is what makes replay a byte-level fixpoint.
+recorded with its resolved typed value, whether it was set explicitly or
+left at its default. Input lineage (path + checksum of each consumed
+container) rides along under the reserved lineage keys of
+`services.lineage_key`. The dictionary never contains wall-clock times or
+host identity, which is what makes replay a byte-level fixpoint.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import NotCollected
 from .metadata import MetadataDictionary
-from .options import Kind, OptionValue, value_to_text
+from .options import Kind, OptionKey, OptionsSet
 from .services import Service, lineage_key
 
 SERVICE_NAME = "MetaDataSvc"
@@ -53,15 +53,14 @@ class MetaDataSvc(Service):
             self._snapshot = self.collect_data(job)
 
     def collect_data(self, job) -> MetadataDictionary:
-        entries: dict[str, str] = {}
+        snapshot = OptionsSet()
         for component in job.iter_components():
             for spec in component.specs.values():
-                entries[f"{component.name}.{spec.name}"] = value_to_text(spec.applied)
+                snapshot.set(OptionKey(component.name, spec.name), spec.applied)
         for lineage in job.lineage:
-            for field, value in (("Path", lineage.path), ("Checksum", lineage.checksum)):
-                entries[lineage_key(lineage.ordinal, field)] = value_to_text(
-                    OptionValue.of(value))
-        return MetadataDictionary(entries)
+            snapshot.set(lineage_key(lineage.ordinal, "Path"), lineage.path)
+            snapshot.set(lineage_key(lineage.ordinal, "Checksum"), lineage.checksum)
+        return MetadataDictionary(snapshot)
 
     def get_metadata(self) -> MetadataDictionary:
         if self._snapshot is None:

@@ -18,6 +18,7 @@ from .errors import (
 )
 from .events import encode_events
 from .container import write_container
+from .metadata import MetadataDictionary
 from .options import Kind, OptionKey, OptionValue
 
 LINEAGE_COMPONENT = "Provenance"
@@ -181,12 +182,10 @@ class ContainerWriterSvc(Service):
     def add_block(self, name: str, payload: bytes) -> None:
         self._extra_blocks.append((name, payload))
 
-    def write(self, path, info_text: Optional[str]) -> dict[str, int]:
+    def write(self, path, info: Optional[MetadataDictionary]) -> dict[str, int]:
         blocks = [("events", encode_events(self._field_names, self._rows))]
         blocks.extend(self._extra_blocks)
-        if info_text is not None:
-            blocks.append(("info", info_text.encode("utf-8")))
-        return write_container(path, blocks)
+        return write_container(path, blocks, info)
 
 
 class ServiceRegistry:

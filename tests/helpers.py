@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import random
 import string
 import struct
@@ -102,3 +103,24 @@ def random_demo_config(rnd: random.Random, out_path) -> OptionsSet:
     if rnd.random() < 0.3:
         config.set("MessageSvc.OutputLevel", rnd.randint(3, 5))
     return config
+
+
+class FailingFile:
+    """Writes through to a real file, then fails with ENOSPC after `limit` bytes."""
+
+    def __init__(self, raw, limit):
+        self.raw, self.left = raw, limit
+
+    def write(self, data):
+        if len(data) > self.left:
+            self.raw.write(data[:self.left])
+            self.left = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.left -= len(data)
+        return self.raw.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.raw.close()

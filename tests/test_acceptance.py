@@ -11,6 +11,8 @@ import pytest
 
 from provrun import (
     ContainerReader,
+    MetadataDictionary,
+    OptionsSet,
     emit_canonical,
     extract_info,
     parse_options,
@@ -227,7 +229,8 @@ def test_c7_container_robustness(tmp_path):
 
     big_path = tmp_path / "big.pdc"
     payload = random.Random(0).randbytes(10 * 1024 * 1024)
-    write_container(big_path, [("events", payload), ("info", b"A.X = 1\n")])
+    write_container(big_path, [("events", payload)],
+                    info=MetadataDictionary(OptionsSet({"A.X": 1})))
     size = big_path.stat().st_size
 
     class CountingFile:

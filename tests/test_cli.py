@@ -1,9 +1,11 @@
 """Operator surface: run, view, export, replay, diff."""
 
+import builtins
 import hashlib
 
 import pytest
 
+import provrun.container
 from provrun import (
     ContainerReader,
     emit_canonical,
@@ -14,7 +16,7 @@ from provrun import (
 )
 from provrun.cli import EXIT_ERROR, EXIT_OK, EXIT_VERIFY, main
 
-from helpers import demo_config
+from helpers import FailingFile, demo_config
 
 
 def write_config(path, config):
@@ -158,6 +160,27 @@ def test_export_twice_identical(demo_files, tmp_path):
     assert flat1.read_bytes() == flat2.read_bytes()
 
 
+def test_failed_export_keeps_the_previous_file(demo_files, tmp_path, monkeypatch,
+                                               capsys):
+    config_path, out = demo_files
+    main(["run", str(config_path)])
+    flat = tmp_path / "flat.opts"
+    flat.write_bytes(b"A.X = 1\n")
+    names = sorted(p.name for p in tmp_path.iterdir())
+    # cut the export at a line boundary: the partial file would still parse
+    limit = extract_info(out).emit().index("\n") + 1
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        raw = builtins.open(file, mode, *args, **kwargs)
+        return FailingFile(raw, limit) if "w" in mode else raw
+
+    monkeypatch.setattr(provrun.container, "open", failing_open, raising=False)
+    assert main(["export", str(out), str(flat)]) == EXIT_ERROR
+    assert "cannot write" in capsys.readouterr().err
+    assert flat.read_bytes() == b"A.X = 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
 def test_replay_verifies_and_matches(demo_files, tmp_path, capsys):
     config_path, out = demo_files
     main(["run", str(config_path)])
@@ -268,10 +291,12 @@ def test_replay_refuses_to_overwrite_its_input(tmp_path, capsys):
 
 def forge_summary(derived):
     """Rewrite `derived` as a valid container with a forged summary block."""
+    info = extract_info(derived)
     with ContainerReader(derived) as reader:
-        blocks = [(name, reader.read_block(name)) for name in reader.block_names()]
+        blocks = [(name, reader.read_block(name)) for name in reader.block_names()
+                  if name != "info"]
     write_container(derived, [(name, b"Accumulator.Count = 0\n" if name == "summary"
-                                     else payload) for name, payload in blocks])
+                                     else payload) for name, payload in blocks], info=info)
 
 
 def test_replay_detects_tampered_summary(tmp_path, capsys):

@@ -2,16 +2,22 @@
 
 import builtins
 import contextlib
-import errno
 import io
 import random
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import provrun.container
-from provrun import ContainerReader, read_block, write_container
+from provrun import (
+    ContainerReader,
+    MetadataDictionary,
+    OptionsSet,
+    parse_options,
+    read_block,
+    write_container,
+)
 from provrun.crc import crc32c
 from provrun.errors import (
     BadMagic,
@@ -27,6 +33,8 @@ from provrun.errors import (
 )
 from provrun.container import extract_info
 from provrun.events import decode_events, encode_events
+
+from helpers import FailingFile
 
 
 def test_crc32c_known_vectors():
@@ -176,19 +184,25 @@ def test_info_must_be_canonical(tmp_path):
     # non-canonical but parseable (unsorted keys) is also rejected
     with pytest.raises(ReservedNameMisuse):
         write_container(tmp_path / "y.pdc", [("info", b"B.Y = 1\nA.X = 2\n")])
-    # canonical form is accepted
-    write_container(tmp_path / "z.pdc", [("info", b"A.X = 2\nB.Y = 1\n")])
+    # so is a raw block in canonical form: only the writer emits `info`
+    with pytest.raises(ReservedNameMisuse):
+        write_container(tmp_path / "w.pdc", [("info", b"A.X = 2\nB.Y = 1\n")])
+    # metadata passed as info= is accepted and emitted in canonical form
+    info = MetadataDictionary(parse_options("B.Y = 1\nA.X = 2\n"))
+    write_container(tmp_path / "z.pdc", [], info=info)
+    assert read_block(tmp_path / "z.pdc", "info") == b"A.X = 2\nB.Y = 1\n"
 
 
 def test_extract_info_roundtrip(tmp_path):
     path = tmp_path / "meta.pdc"
-    write_container(path, [("events", b""), ("info", b'A.X = 1\nB.Y = "s"\n')])
+    write_container(path, [("events", b"")],
+                    info=MetadataDictionary(parse_options('A.X = 1\nB.Y = "s"\n')))
     info = extract_info(path)
     assert info["A.X"] == "1"
     assert info["B.Y"] == '"s"'
     # re-embed into a copy, extract again
     path2 = tmp_path / "meta2.pdc"
-    write_container(path2, [("events", b""), ("info", info.emit().encode())])
+    write_container(path2, [("events", b"")], info=info)
     assert extract_info(path2) == info
 
 
@@ -197,27 +211,6 @@ def test_extract_info_missing(tmp_path):
     write_container(path, [("events", b"")])
     with pytest.raises(MissingInfo):
         extract_info(path)
-
-
-class FailingFile:
-    """Writes through to a real file, then fails with ENOSPC after `limit` bytes."""
-
-    def __init__(self, raw, limit):
-        self.raw, self.left = raw, limit
-
-    def write(self, data):
-        if len(data) > self.left:
-            self.raw.write(data[:self.left])
-            self.left = 0
-            raise OSError(errno.ENOSPC, "No space left on device")
-        self.left -= len(data)
-        return self.raw.write(data)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.raw.close()
 
 
 @pytest.mark.parametrize("limit", [0, 10, 20, 3000, 4055])
@@ -271,7 +264,8 @@ class CountingFile:
 def test_extract_info_reads_only_toc_and_info(tmp_path):
     path = tmp_path / "big.pdc"
     big = bytes(1024) * 1024  # 1 MiB payload
-    write_container(path, [("events", big), ("info", b"A.X = 1\n")])
+    write_container(path, [("events", big)],
+                    info=MetadataDictionary(OptionsSet({"A.X": 1})))
     size = path.stat().st_size
     with open(path, "rb") as raw:
         counting = CountingFile(raw)
@@ -281,18 +275,20 @@ def test_extract_info_reads_only_toc_and_info(tmp_path):
 
 
 _TOTALITY_BLOCKS = [("events", random.Random(4).randbytes(70 * 512 + 13)),
-                    ("summary", b"ABCDEFGH"), ("info", b'A.X = 1\nB.Y = "s"\n')]
+                    ("summary", b"ABCDEFGH")]
+_TOTALITY_INFO = MetadataDictionary(parse_options('A.X = 1\nB.Y = "s"\n'))
 
 
 @pytest.fixture(scope="module")
 def totality_bytes(tmp_path_factory):
     path = tmp_path_factory.mktemp("totality") / "base.pdc"
-    write_container(path, _TOTALITY_BLOCKS)
+    write_container(path, _TOTALITY_BLOCKS, info=_TOTALITY_INFO)
     return path.read_bytes()
 
 
-_SIZE = 20 + sum(len(p) for _, p in _TOTALITY_BLOCKS) + 4 + sum(
-    2 + len(name) + 20 for name, _ in _TOTALITY_BLOCKS) + 4
+_TOTALITY_PAYLOADS = [*_TOTALITY_BLOCKS, ("info", _TOTALITY_INFO.emit().encode())]
+_SIZE = 20 + sum(len(p) for _, p in _TOTALITY_PAYLOADS) + 4 + sum(
+    2 + len(name) + 20 for name, _ in _TOTALITY_PAYLOADS) + 4
 # Header and TOC are small, so weight the positions towards both ends.
 _positions = st.one_of(st.integers(0, 40), st.integers(_SIZE - 120, _SIZE - 1),
                        st.integers(0, _SIZE - 1))
@@ -335,6 +331,25 @@ def test_events_codec_roundtrip():
         if not names:
             rows = []
         assert decode_events(encode_events(names, rows)) == (names, rows)
+
+
+_FIELD_NAMES = st.lists(st.text(st.characters(codec="utf-8"), max_size=6), max_size=4)
+# -0.0, a signalling NaN, and a negative quiet NaN with a payload
+_ODD_DOUBLES = [bytes.fromhex(h) for h in ("0000000000000080", "010000000000f07f",
+                                           "230100000000f8ff")]
+_CELLS = st.lists(st.one_of(st.binary(min_size=8, max_size=8),
+                            st.sampled_from(_ODD_DOUBLES)), max_size=24)
+
+
+@settings(max_examples=200)
+@given(names=_FIELD_NAMES, cells=_CELLS)
+@example(names=["f0", "\u00df"], cells=_ODD_DOUBLES + _ODD_DOUBLES[:1])
+@example(names=[], cells=[])
+def test_events_codec_is_a_byte_fixpoint(names, cells):
+    # raw cell bytes, so -0.0 and NaN payloads are compared as stored
+    whole_rows = len(cells) - len(cells) % len(names) if names else 0
+    encoded = encode_events(names, []) + b"".join(cells[:whole_rows])
+    assert encode_events(*decode_events(encoded)) == encoded
 
 
 def test_events_codec_rejects_garbage():

@@ -1,4 +1,4 @@
-"""Options language: grammar, merge semantics, canonical emission."""
+"""Options language: grammar, set semantics, canonical emission."""
 
 import random
 import struct
@@ -12,7 +12,6 @@ from provrun import (
     OptionsSet,
     OptionValue,
     emit_canonical,
-    merge,
     parse_options,
     parse_value,
     value_to_text,
@@ -215,42 +214,6 @@ def test_emit_after_parse_is_a_byte_fixpoint(text):
 
 def test_final_line_without_newline_is_accepted():
     assert parse_options("A.B = 7")["A.B"] == OptionValue.of(7)
-
-
-# --- merge -----------------------------------------------------------------
-
-def test_merge_identities():
-    s = parse_options("A.X = 1\nB.Y = true")
-    empty = OptionsSet()
-    assert merge(empty, s) == s
-    assert merge(s, empty) == s
-
-
-def test_merge_overlay_wins():
-    base = parse_options("A.X = 1")
-    overlay = parse_options("A.X = 2\nB.Y = true")
-    merged = merge(base, overlay)
-    assert merged["A.X"] == OptionValue.of(2)
-    assert merged["B.Y"] == OptionValue.of(True)
-    assert len(merged) == 2
-
-
-def test_merge_associative_on_disjoint_keys():
-    rnd = random.Random(7)
-    for _ in range(25):
-        sets = []
-        used = set()
-        for _ in range(3):
-            s = OptionsSet()
-            for _ in range(rnd.randrange(6)):
-                key = f"C{rnd.randrange(1000)}.P{rnd.randrange(1000)}"
-                if key in used:
-                    continue
-                used.add(key)
-                s.set(key, rnd.randrange(100))
-            sets.append(s)
-        a, b, c = sets
-        assert merge(merge(a, b), c) == merge(a, merge(b, c))
 
 
 def test_equality_ignores_insertion_order():
