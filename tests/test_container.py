@@ -321,6 +321,46 @@ def test_reader_raises_only_container_errors(totality_bytes, edits):
         extract_info(io.BytesIO(bytes(data)))
 
 
+_TOC_FIELDS = {"name_len": "<H", "offset": "<Q", "length": "<Q", "crc": "<I"}
+
+
+def _toc_field_position(data, entry: int, field: str) -> tuple[int, int]:
+    """Offset of the TOC header and of one field of one TOC entry."""
+    (toc_offset,) = struct.unpack_from("<Q", data, 12)
+    pos = toc_offset + 4
+    for _ in range(entry):
+        pos += 2 + struct.unpack_from("<H", data, pos)[0] + 20
+    name_len = struct.unpack_from("<H", data, pos)[0]
+    tail = {"name_len": 0, "offset": 2 + name_len, "length": 10 + name_len,
+            "crc": 18 + name_len}
+    return toc_offset, pos + tail[field]
+
+
+@settings(max_examples=300)
+@given(entry=st.integers(0, len(_TOTALITY_PAYLOADS) - 1),
+       field=st.sampled_from(sorted(_TOC_FIELDS)),
+       change=st.one_of(st.tuples(st.just("add"), st.integers(-600, 600)),
+                        st.tuples(st.just("set"), st.integers(0, 2**64 - 1))))
+def test_reader_raises_only_container_errors_on_a_resealed_toc(
+        totality_bytes, entry, field, change):
+    """A rewritten TOC entry under a recomputed trailer CRC passes the TOC
+    checksum, so only the reader's own bounds and block checks stand."""
+    data = bytearray(totality_bytes)
+    toc_offset, pos = _toc_field_position(data, entry, field)
+    fmt = _TOC_FIELDS[field]
+    (old,) = struct.unpack_from(fmt, data, pos)
+    new = old + change[1] if change[0] == "add" else change[1]
+    struct.pack_into(fmt, data, pos, new % (1 << 8 * struct.calcsize(fmt)))
+    struct.pack_into("<I", data, len(data) - 4, crc32c(bytes(data[toc_offset:-4])))
+    with contextlib.suppress(ContainerError):
+        with ContainerReader(io.BytesIO(bytes(data))) as reader:
+            for name in reader.block_names():
+                with contextlib.suppress(ContainerError):
+                    reader.read_block(name)
+    with contextlib.suppress(ContainerError):
+        extract_info(io.BytesIO(bytes(data)))
+
+
 # --- events payload codec ----------------------------------------------------
 
 def test_events_codec_roundtrip():
