@@ -6,7 +6,6 @@ from .container import ContainerReader, extract_info, read_block, write_containe
 from .core import (
     ApplicationMgr,
     Catalogue,
-    EventRecord,
     Job,
     JobReport,
     PhaseStatus,
@@ -37,7 +36,6 @@ __all__ = [
     "Catalogue",
     "ContainerReader",
     "DiffReport",
-    "EventRecord",
     "InputLineage",
     "Job",
     "JobReport",

@@ -4,6 +4,9 @@ Deliberately small and fully deterministic: a pseudo-random source, a
 file-backed source (which is what gives jobs input lineage), a threshold
 filter that can veto events, and an accumulating sink. Together they
 exercise the source/filter/sink roles the provenance capture has to cover.
+A source names the schema (`fields`) and assigns each event's `row`; the
+others resolve their columns and properties once, in `bind`, and a field
+the schema lacks fails only the first event that reaches its reader.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from .components import Component, ComponentKind
 from .container import ContainerReader
 from .errors import AlgorithmFailure, CorruptContainer, InvalidConfiguration, LineageMissing
 from .events import decode_events
-from .options import Kind
+from .options import Kind, OptionsSet, emit_canonical
 from .rng import SplitMix64
 
 
@@ -23,6 +26,9 @@ class Algorithm(Component):
 
     def start(self, job) -> None:
         pass
+
+    def bind(self, event) -> None:
+        """Resolve what `process` reads, once per job, after the schema is set."""
 
     def process(self, job, event) -> bool:
         """Handle one event; returning False vetoes it for the rest of the chain."""
@@ -33,13 +39,10 @@ class Algorithm(Component):
 
 
 class EventSource(Algorithm):
-    """An algorithm that also produces the event stream (first in the chain)."""
+    """Produces the event stream (first in the chain); `plan` sets `fields`."""
 
     def plan(self, job) -> int:
         """Number of events this run will produce; called once per job."""
-        raise NotImplementedError
-
-    def field_names(self) -> list[str]:
         raise NotImplementedError
 
 
@@ -55,19 +58,16 @@ class RandomEventSource(EventSource):
 
     def plan(self, job) -> int:
         count = self.value("NumEvents")
-        fields = self.value("FieldCount")
-        if count < 0 or fields < 0:
+        field_count = self.value("FieldCount")
+        if count < 0 or field_count < 0:
             raise AlgorithmFailure("NumEvents and FieldCount must be non-negative")
         self._rng = SplitMix64(self.value("Seed"))
-        self._names = [f"f{i}" for i in range(fields)]
+        self.fields = [f"f{i}" for i in range(field_count)]
         return count
 
-    def field_names(self) -> list[str]:
-        return list(self._names)
-
     def process(self, job, event) -> bool:
-        for name in self._names:
-            job.events.put(name, self._rng.next_double())
+        draw = self._rng.next_double
+        event.row = [draw() for _ in self.fields]
         return True
 
 
@@ -98,18 +98,14 @@ class FileEventSource(EventSource):
                 crc = reader.block_crc("events")
         except CorruptContainer as exc:
             raise AlgorithmFailure(f"cannot read input {path!r}: {exc}") from exc
-        self._names, self._rows = decode_events(payload)
+        self.fields, self._rows = decode_events(payload)
         job.record_input(path, crc)
 
     def plan(self, job) -> int:
         return len(self._rows)
 
-    def field_names(self) -> list[str]:
-        return list(self._names)
-
     def process(self, job, event) -> bool:
-        for name, value in zip(self._names, self._rows[event.index]):
-            job.events.put(name, value)
+        event.row = self._rows[event.index]
         return True
 
 
@@ -121,8 +117,15 @@ class ThresholdFilter(Algorithm):
         ("Min", Kind.FLOAT, 0.0),
     )
 
+    def bind(self, event) -> None:
+        self._field = self.value("Field")
+        self._column = event.column(self._field)
+        self._min = self.value("Min")
+
     def process(self, job, event) -> bool:
-        return job.events.get(self.value("Field")) >= self.value("Min")
+        if self._column is None:
+            raise event.missing_field(self._field)
+        return event.row[self._column] >= self._min
 
 
 class Accumulator(Algorithm):
@@ -130,19 +133,21 @@ class Accumulator(Algorithm):
     a `summary` payload block at finalize."""
 
     PROPERTIES = (("Field", Kind.TEXT, "f0"),)
+    _sum = 0.0
+    _count = 0
 
-    def start(self, job) -> None:
-        self._sum = 0.0
-        self._count = 0
+    def bind(self, event) -> None:
+        self._field = self.value("Field")
+        self._column = event.column(self._field)
 
     def process(self, job, event) -> bool:
-        self._sum += job.events.get(self.value("Field"))
+        if self._column is None:
+            raise event.missing_field(self._field)
+        self._sum += event.row[self._column]
         self._count += 1
         return True
 
     def finish(self, job) -> None:
-        from .options import OptionsSet, emit_canonical
-
         summary = OptionsSet()
         summary.set(f"{self.name}.Count", self._count)
         summary.set(f"{self.name}.Sum", self._sum)

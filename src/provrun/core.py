@@ -49,14 +49,6 @@ class PhaseStatus(Enum):
 
 
 @dataclass
-class EventRecord:
-    """One event: a dense sequence number and named float fields."""
-
-    index: int
-    fields: dict[str, float] = field(default_factory=dict)
-
-
-@dataclass
 class JobReport:
     """Outcome of a run: per-phase status, counts, output identity."""
 
@@ -246,7 +238,6 @@ class Job:
             for alg in self.algorithms:
                 alg.start(self)  # sources read and verify their inputs here
             self._check_all_inputs_consumed()
-            self.writer.reset()
             status = PhaseStatus.OK
             self.log(LEVEL_INFO, "ApplicationMgr",
                      f"initialized {len(self.algorithms)} algorithm(s), "
@@ -262,27 +253,22 @@ class Job:
             self.report.phases["execute"] = PhaseStatus.SKIPPED
             return PhaseStatus.SKIPPED
         try:
-            source = (self.algorithms[0]
-                      if self.algorithms and isinstance(self.algorithms[0], EventSource)
-                      else None)
-            if source is not None:
+            event, planned = self.events, 0
+            source = self.algorithms[0] if self.algorithms else None
+            if isinstance(source, EventSource):
                 planned = source.plan(self)
-                self.writer.set_schema(source.field_names())
-            else:
-                planned = 0
-                self.writer.set_schema([])
+                event.set_schema(source.fields)
+            for alg in self.algorithms:
+                alg.bind(event)
             for index in range(planned):
-                record = EventRecord(index)
-                self.events.begin_event(record)
-                accepted = True
+                event.index = index
                 for alg in self.algorithms:
-                    if not alg.process(self, record):
-                        accepted = False
+                    if not alg.process(self, event):
                         break
-                self.report.events_seen += 1
-                if accepted:
+                else:
                     self.report.events_written += 1
-                    self.writer.add_event(record)
+                    self.writer.add_event(event.row)
+                self.report.events_seen += 1
             status = PhaseStatus.OK
             self.log(LEVEL_INFO, "ApplicationMgr",
                      f"processed {self.report.events_seen} event(s), "
@@ -310,7 +296,8 @@ class Job:
                 if output_path:
                     info = (self.metadata_svc.get_metadata()
                             if self.metadata_svc is not None else None)
-                    checksums = self.writer.write(output_path, info)
+                    checksums = self.writer.write(output_path, self.events.fields,
+                                                  info)
                     self.report.payload_checksum = checksums.get("events")
                     self.log(LEVEL_INFO, "ContainerWriterSvc",
                              f"wrote {output_path}")

@@ -1,5 +1,6 @@
 """The standard service set: message logging, option application, tool
-management, the per-event data store, and container persistency."""
+management, the event store (which is the event every algorithm is handed:
+one row of floats in schema order), and container persistency."""
 
 from __future__ import annotations
 
@@ -141,24 +142,37 @@ class ToolSvc(Service):
 
 
 class EventDataSvc(Service):
-    """Holds the event currently moving through the algorithm chain."""
+    """The event moving through the algorithm chain: its `index` and its
+    `row`, one float per name of `fields` (the job's schema) in that order."""
 
     def __init__(self):
         super().__init__()
-        self.current = None
+        self.fields: list[str] = []
+        self.index = 0
+        self.row: list[float] = []
 
-    def begin_event(self, record) -> None:
-        self.current = record
+    def set_schema(self, fields: list[str]) -> None:
+        self.fields = list(fields)
+
+    def column(self, field_name: str) -> Optional[int]:
+        """Position of `field_name` in the row; None if the schema lacks it."""
+        return self.fields.index(field_name) if field_name in self.fields else None
+
+    def missing_field(self, field_name: str) -> AlgorithmFailure:
+        """The failure of reading a field the schema lacks, at this event."""
+        return AlgorithmFailure(f"event {self.index} has no field {field_name!r}")
+
+    def _require(self, field_name: str) -> int:
+        column = self.column(field_name)
+        if column is None:
+            raise self.missing_field(field_name)
+        return column
 
     def put(self, field_name: str, value: float) -> None:
-        self.current.fields[field_name] = float(value)
+        self.row[self._require(field_name)] = float(value)
 
     def get(self, field_name: str) -> float:
-        try:
-            return self.current.fields[field_name]
-        except KeyError:
-            raise AlgorithmFailure(f"event {self.current.index} has no field "
-                                   f"{field_name!r}") from None
+        return self.row[self._require(field_name)]
 
 
 class ContainerWriterSvc(Service):
@@ -166,24 +180,18 @@ class ContainerWriterSvc(Service):
 
     def __init__(self):
         super().__init__()
-        self.reset()
-
-    def reset(self) -> None:
-        self._field_names: list[str] = []
         self._rows: list[list[float]] = []
         self._extra_blocks: list[tuple[str, bytes]] = []
 
-    def set_schema(self, field_names: list[str]) -> None:
-        self._field_names = list(field_names)
-
-    def add_event(self, record) -> None:
-        self._rows.append([record.fields[name] for name in self._field_names])
+    def add_event(self, row: list[float]) -> None:
+        self._rows.append(row)  # sources give every event a new row
 
     def add_block(self, name: str, payload: bytes) -> None:
         self._extra_blocks.append((name, payload))
 
-    def write(self, path, info: Optional[MetadataDictionary]) -> dict[str, int]:
-        blocks = [("events", encode_events(self._field_names, self._rows))]
+    def write(self, path, fields: list[str],
+              info: Optional[MetadataDictionary]) -> dict[str, int]:
+        blocks = [("events", encode_events(fields, self._rows))]
         blocks.extend(self._extra_blocks)
         return write_container(path, blocks, info)
 
