@@ -29,6 +29,9 @@ def block_digests(path) -> list[tuple[str, str]]:
 # --- pinned bytes ---------------------------------------------------------------
 
 _FILTER_SUM = ("RandomEventSource", "ThresholdFilter", "Accumulator")
+# CRC-32C of the `events` block of full.pdc, declared as the lineage of
+# declared.pdc
+FULL_EVENTS_CRC = 2823646708
 
 
 def _pinned_jobs():
@@ -55,11 +58,20 @@ def _pinned_jobs():
             "partial.pdc", algorithms=("RandomEventSource", "FailAfter"),
             RandomEventSource__Seed=5, RandomEventSource__NumEvents=10,
             RandomEventSource__FieldCount=2), failing_catalogue()),
+        ("tuned.pdc", demo_config(
+            "tuned.pdc", RandomEventSource__Seed=11, RandomEventSource__NumEvents=40,
+            DemoTool__Gain=2.5, MessageSvc__OutputLevel=4), None),
+        ("declared.pdc", demo_config(
+            "declared.pdc", algorithms=("FileEventSource", "ThresholdFilter"),
+            FileEventSource__Input="full.pdc", ThresholdFilter__Min=0.6,
+            Provenance__Inputs__I0__Path="full.pdc",
+            Provenance__Inputs__I0__Checksum=FULL_EVENTS_CRC), None),
     ]
 
 
-# Recorded with the dict-per-event engine that the row engine replaced; a
-# differing digest is a change of output bytes, never a refactor.
+# Recorded with the dict-per-event engine that the row engine replaced
+# (tuned.pdc and declared.pdc: before the job's components shared one name
+# table); a differing digest is a change of output bytes, never a refactor.
 PINNED = {
     "full.pdc": [
         ("events", "5eab11021e5615fc7c25a29671f921759d426a329bf7dcd0dff5549612edb1c4"),
@@ -83,6 +95,14 @@ PINNED = {
     "partial.pdc": [
         ("events", "c6c92700280271381edf8481460dc03f98734e2a10bbe61f59119c111e5a73a6"),
         ("info", "c8109604e169bc8fdff5b01ef5ea81094fbf3aee489941e3d523512264495872"),
+    ],
+    "tuned.pdc": [
+        ("events", "4b3d2d524a90442684329849eea0ec86e59252e0dbfa60a3d1e730103829b7b4"),
+        ("info", "493c45dc63f6ad817e560ad3b71fdfd28243a8b5a75a98d25c7ec60f4a7b3bb2"),
+    ],
+    "declared.pdc": [
+        ("events", "31163cd964c75084183b4e69b804a2579f7ba2fd8ba829b4b53df0e2c186094d"),
+        ("info", "dae0898cb1eb3058b8b61eeb75870b8e5fdbec23766e3765ba1d5e0ee27eada6"),
     ],
 }
 
