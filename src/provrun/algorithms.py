@@ -96,9 +96,9 @@ class FileEventSource(EventSource):
             with ContainerReader(path) as reader:
                 payload = reader.read_block("events")
                 crc = reader.block_crc("events")
+            self.fields, self._rows = decode_events(payload)
         except CorruptContainer as exc:
             raise AlgorithmFailure(f"cannot read input {path!r}: {exc}") from exc
-        self.fields, self._rows = decode_events(payload)
         job.record_input(path, crc)
 
     def plan(self, job) -> int:

@@ -1,6 +1,9 @@
 """The application manager: builds a job from an options set, drives the
-initialize / execute / finalize phases over the service registry and the
-algorithm chain, and triggers provenance capture and persistency at the end.
+initialize / execute / finalize phases over the services and the algorithm
+chain, and triggers provenance capture and persistency at the end.
+
+One name table, `Job.components` (manager, services in start order,
+algorithms), holds each name once: an assignment reaches what is captured.
 
 Phase contract: initialize precedes execute precedes finalize, and finalize
 runs exactly once per job no matter how execute ends. Two runs of the same
@@ -19,7 +22,6 @@ from .components import Component, ComponentKind, LIST_OF_TEXT
 from .errors import (
     DuplicateComponent,
     InvalidConfiguration,
-    KindMismatch,
     LineageMismatch,
     ProvrunError,
     UnknownComponent,
@@ -35,7 +37,6 @@ from .services import (
     JobOptionsSvc,
     MessageSvc,
     Service,
-    ServiceRegistry,
     ToolSvc,
 )
 
@@ -99,15 +100,6 @@ def standard_catalogue() -> Catalogue:
     )
 
 
-def _config_name_list(config: OptionsSet, key: str) -> list[str]:
-    value = config.get(key)
-    if value is None:
-        return []
-    if value.kind is not Kind.LIST or (value.value and value.elem_kind is not Kind.TEXT):
-        raise KindMismatch(f"{key} must be a list of text")
-    return [item.value for item in value.value]
-
-
 class Job:
     """A built job: components instantiated, ready to run its three phases."""
 
@@ -120,9 +112,10 @@ class Job:
         self.tool_svc = ToolSvc(catalogue.tools)
         self.events = EventDataSvc()
         self.writer = ContainerWriterSvc()
+        self.components: dict[str, Component] = {}
+        self.registry: list[Service] = []  # start order; stop is reverse
         self.metadata_svc: Optional[MetaDataSvc] = None
         self.algorithms: list[Algorithm] = []
-        self.registry: Optional[ServiceRegistry] = None
         self.lineage: list[InputLineage] = []
         # declared input lineage, by ordinal: {"Path": str, "Checksum": int}
         self.expected_inputs: dict[int, dict[str, object]] = {}
@@ -142,59 +135,60 @@ class Job:
         if len(all_names) != len(set(all_names)):
             raise DuplicateComponent("catalogue lists a component name twice")
 
-        services: list[Service] = [self.msg, self.options_svc, self.tool_svc,
-                                   self.events, self.writer]
+        standard = [self.msg, self.options_svc, self.tool_svc, self.events,
+                    self.writer]
+        for component in (self.app, *standard):
+            self._add(component)
         # always-on services may be named redundantly
-        services += self._instantiate("ApplicationMgr.Services", "service",
-                                      self.catalogue.services,
-                                      skip={svc.name for svc in services})
-        self.registry = ServiceRegistry(services)
-        self.metadata_svc = self.registry.get(METADATA_SERVICE)
-        self.algorithms = self._instantiate("ApplicationMgr.TopAlg", "algorithm",
+        self.registry = standard + self._instantiate(
+            "Services", "service", self.catalogue.services,
+            skip={svc.name for svc in standard})
+        self.metadata_svc = self.components.get(METADATA_SERVICE)
+        self.algorithms = self._instantiate("TopAlg", "algorithm",
                                             self.catalogue.algorithms)
         for alg in self.algorithms[1:]:
             if isinstance(alg, EventSource):
                 raise InvalidConfiguration(
                     f"event source {alg.name!r} must be first in TopAlg")
 
-    def _instantiate(self, key: str, kind: str, factories: dict[str, type],
+    def _add(self, component: Component) -> Component:
+        if component.name in self.components:
+            raise DuplicateComponent(
+                f"two components of this job are named {component.name!r}")
+        self.components[component.name] = component
+        return component
+
+    def _instantiate(self, prop: str, kind: str, factories: dict[str, type],
                      skip: set[str] = frozenset()) -> list[Component]:
-        """One instance per name listed under `key`, except the `skip` names."""
+        """One instance per name in ApplicationMgr.`prop`, except the `skip` names."""
+        value = self.config.get(f"ApplicationMgr.{prop}")
+        if value is not None:
+            self.app.spec(prop).apply(value)
+        names = self.app.value(prop)
+        if len(set(names)) != len(names):
+            raise DuplicateComponent(f"ApplicationMgr.{prop} lists a name twice")
         instances = []
-        seen: set[str] = set()
-        for name in _config_name_list(self.config, key):
-            if name in seen:
-                raise DuplicateComponent(f"{kind} {name!r} listed twice")
-            seen.add(name)
+        for name in names:
             if name in skip:
                 continue
             factory = factories.get(name)
             if factory is None:
                 raise UnknownComponent(f"no {kind} named {name!r} in the catalogue")
-            instances.append(factory())
+            instances.append(self._add(factory()))
         return instances
 
     def find_component(self, name: str) -> Optional[Component]:
-        if name == self.app.name:
-            return self.app
-        svc = self.registry.get(name)
-        if svc is not None:
-            return svc
-        for alg in self.algorithms:
-            if alg.name == name:
-                return alg
-        if self.tool_svc.knows(name):
+        component = self.components.get(name)
+        if component is None and self.tool_svc.knows(name):
             # assigning to a catalogued tool instantiates it, so its resolved
             # configuration is part of the capture
-            return self.tool_svc.retrieve(name)
-        return None
+            component = self.tool_svc.retrieve(name)
+        return component
 
     def iter_components(self):
-        """Everything the capture traverses: manager, algorithms, services,
-        and the tools that were actually instantiated."""
-        yield self.app
-        yield from self.algorithms
-        yield from self.registry
+        """Everything the capture traverses: the name table, then the tools
+        that were actually instantiated."""
+        yield from self.components.values()
         yield from self.tool_svc.instances.values()
 
     def tool(self, name: str) -> Component:
@@ -217,7 +211,6 @@ class Job:
                 raise LineageMismatch(
                     f"input {path!r} checksum {checksum} differs from the "
                     f"declared {expected['Checksum']}")
-            self.options_svc.record_lineage_applied(ordinal, path, checksum)
         self.lineage.append(InputLineage(ordinal, path, checksum))
 
     def _check_all_inputs_consumed(self) -> None:
@@ -233,15 +226,14 @@ class Job:
         try:
             self.options_svc.apply_all(self)
             for svc in self.registry:
-                if svc is not self.metadata_svc:
-                    svc.start(self)
+                svc.start(self)
             for alg in self.algorithms:
                 alg.start(self)  # sources read and verify their inputs here
             self._check_all_inputs_consumed()
             status = PhaseStatus.OK
             self.log(LEVEL_INFO, "ApplicationMgr",
                      f"initialized {len(self.algorithms)} algorithm(s), "
-                     f"{len(self.registry.services)} service(s)")
+                     f"{len(self.registry)} service(s)")
         except ProvrunError as exc:
             self._record_failure("initialize", exc)
             status = PhaseStatus.FAILED
@@ -290,7 +282,7 @@ class Job:
                 if self.metadata_svc is not None:
                     # capture happens here and only here: every option has
                     # been applied by now, so nothing is lost
-                    self.metadata_svc.start(self)
+                    self.metadata_svc.capture(self)
                 output_path = self.app.value("OutputFile")
                 self.report.output_path = output_path
                 if output_path:
@@ -306,8 +298,8 @@ class Job:
             self._record_failure("finalize", exc)
             status = PhaseStatus.FAILED
         finally:
-            if self.registry is not None:
-                self.registry.stop_all(self)
+            for svc in reversed(self.registry):
+                svc.stop(self)
         self.report.phases["finalize"] = status
         return status
 

@@ -1,9 +1,9 @@
 """Byte codec for the `events` payload block.
 
 Layout (all little-endian): u32 field count, then per field a u16 byte
-length and the UTF-8 field name, then per event one IEEE-754 double per
-field in field order. The event count is implied by the remaining length,
-so identical inputs always encode to identical bytes.
+length and the UTF-8 field name (no name twice), then per event one
+IEEE-754 double per field in field order. The event count is implied by
+the remaining length, so identical inputs always encode to identical bytes.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ _F64 = struct.Struct("<d")
 
 
 def encode_events(field_names: Sequence[str], rows: Sequence[Sequence[float]]) -> bytes:
+    if len(set(field_names)) != len(field_names):
+        raise ValueError("the field list names a field twice")
     parts = [_U32.pack(len(field_names))]
     for name in field_names:
         encoded = name.encode("utf-8")
@@ -52,6 +54,8 @@ def decode_events(data: bytes) -> tuple[list[str], list[list[float]]]:
         except UnicodeDecodeError as exc:
             raise CorruptContainer(f"events field name is not UTF-8: {exc}") from None
         pos += name_len
+    if len(set(names)) != len(names):
+        raise CorruptContainer("events field table names a field twice")
     body = len(data) - pos
     if field_count == 0:
         if body:

@@ -1,8 +1,9 @@
 """The provenance capture service.
 
-Invoked from finalize only, after every option has been applied, so the
-snapshot sees the fully resolved configuration: for each instantiated
-component (algorithms, services, tools) every declared property is
+Started with the other services, where it refuses `Enabled = false`. It
+captures from finalize only, after every option has been applied, so the
+snapshot sees the fully resolved configuration: for each component of the
+job's name table and each retrieved tool, every declared property is
 recorded with its resolved typed value, whether it was set explicitly or
 left at its default. Input lineage (path + checksum of each consumed
 container) rides along under the reserved lineage keys of
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotCollected
+from .errors import InvalidConfiguration, NotCollected
 from .metadata import MetadataDictionary
 from .options import Kind, OptionKey, OptionsSet
 from .services import Service, lineage_key
@@ -42,12 +43,16 @@ class MetaDataSvc(Service):
         self._snapshot: Optional[MetadataDictionary] = None
 
     def start(self, job) -> None:
+        if self.value("Enabled") is False:
+            raise InvalidConfiguration(
+                "MetaDataSvc.Enabled = false contradicts its presence in "
+                "ApplicationMgr.Services")
+
+    def capture(self, job) -> None:
         """Collect once; calling again is a no-op (the snapshot is frozen).
 
-        The framework keeps this service out of the initialize-time startup
-        and starts it from finalize instead: earlier, only part of the
-        configuration would have been applied and the snapshot would lose
-        information.
+        Called from finalize only: earlier, only part of the configuration
+        would have been applied and the snapshot would lose information.
         """
         if self._snapshot is None:
             self._snapshot = self.collect_data(job)

@@ -1,6 +1,7 @@
-"""The standard service set: message logging, option application, tool
-management, the event store (which is the event every algorithm is handed:
-one row of floats in schema order), and container persistency."""
+"""The standard service set: message logging, option application (which
+logs every assignment, lineage declarations included), tool management,
+the event store (which is the event every algorithm is handed: one row of
+floats in schema order), and container persistency."""
 
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ from typing import Optional
 from .components import Component, ComponentKind
 from .errors import (
     AlgorithmFailure,
-    InvalidConfiguration,
     KindMismatch,
     UnknownComponent,
     UnknownProperty,
@@ -84,14 +84,13 @@ class JobOptionsSvc(Service):
         for key, value in job.config:
             if key.component == LINEAGE_COMPONENT:
                 self._declare_lineage(job, key, value)
-                continue
-            target = job.find_component(key.component)
-            if target is None:
-                raise UnknownComponent(
-                    f"assignment {key.text} names no component in this job")
-            target.spec(key.prop).apply(value)
+            else:
+                target = job.find_component(key.component)
+                if target is None:
+                    raise UnknownComponent(
+                        f"assignment {key.text} names no component in this job")
+                target.spec(key.prop).apply(value)
             self.applied_log.append((key, value))
-        self._check_metadata_consistency(job)
         return list(self.applied_log)
 
     @staticmethod
@@ -103,20 +102,6 @@ class JobOptionsSvc(Service):
         elif value.kind is not Kind.INTEGER or not 0 <= value.value <= 0xFFFFFFFF:
             raise KindMismatch(f"{key.text} must be a crc32c integer")
         job.expected_inputs.setdefault(ordinal, {})[field] = value.value
-
-    @staticmethod
-    def _check_metadata_consistency(job) -> None:
-        svc = job.metadata_svc
-        if svc is not None and svc.value("Enabled") is False:
-            raise InvalidConfiguration(
-                "MetaDataSvc.Enabled = false contradicts its presence in "
-                "ApplicationMgr.Services")
-
-    def record_lineage_applied(self, ordinal: int, path: str, checksum: int) -> None:
-        """Consumed lineage declarations count as applied assignments."""
-        for field, value in (("Path", path), ("Checksum", checksum)):
-            self.applied_log.append((OptionKey.parse(lineage_key(ordinal, field)),
-                                     OptionValue.of(value)))
 
 
 class ToolSvc(Service):
@@ -194,21 +179,3 @@ class ContainerWriterSvc(Service):
         blocks = [("events", encode_events(fields, self._rows))]
         blocks.extend(self._extra_blocks)
         return write_container(path, blocks, info)
-
-
-class ServiceRegistry:
-    """Ordered services; start order is declaration order, stop is reverse."""
-
-    def __init__(self, services: list[Service]):
-        self.services = list(services)
-        self._by_name = {svc.name: svc for svc in self.services}
-
-    def get(self, name: str) -> Optional[Service]:
-        return self._by_name.get(name)
-
-    def __iter__(self):
-        return iter(self.services)
-
-    def stop_all(self, job) -> None:
-        for svc in reversed(self.services):
-            svc.stop(job)

@@ -373,7 +373,8 @@ def test_events_codec_roundtrip():
         assert decode_events(encode_events(names, rows)) == (names, rows)
 
 
-_FIELD_NAMES = st.lists(st.text(st.characters(codec="utf-8"), max_size=6), max_size=4)
+_FIELD_NAMES = st.lists(st.text(st.characters(codec="utf-8"), max_size=6), max_size=4,
+                        unique=True)
 # -0.0, a signalling NaN, and a negative quiet NaN with a payload
 _ODD_DOUBLES = [bytes.fromhex(h) for h in ("0000000000000080", "010000000000f07f",
                                            "230100000000f8ff")]
@@ -390,6 +391,14 @@ def test_events_codec_is_a_byte_fixpoint(names, cells):
     whole_rows = len(cells) - len(cells) % len(names) if names else 0
     encoded = encode_events(names, []) + b"".join(cells[:whole_rows])
     assert encode_events(*decode_events(encoded)) == encoded
+
+
+def test_events_codec_refuses_a_field_named_twice():
+    with pytest.raises(ValueError):
+        encode_events(["a", "a"], [[1.0, 2.0]])
+    twice = struct.pack("<I", 2) + (struct.pack("<H", 1) + b"a") * 2
+    with pytest.raises(CorruptContainer):
+        decode_events(twice + struct.pack("<2d", 1.0, 2.0))
 
 
 def test_events_codec_rejects_garbage():

@@ -54,6 +54,37 @@ def test_build_duplicate_algorithm():
         build_job(config)
 
 
+def _alias_catalogue():
+    catalogue = standard_catalogue()
+    catalogue.algorithms["LowCut"] = catalogue.algorithms["ThresholdFilter"]
+    return catalogue, ("RandomEventSource", "ThresholdFilter", "LowCut")
+
+
+def _shadow_catalogue():
+    catalogue = standard_catalogue()
+    catalogue.algorithms["MessageSvc"] = type("MessageSvc", (Algorithm,), {})
+    return catalogue, ("RandomEventSource", "MessageSvc")
+
+
+@pytest.mark.parametrize("make_catalogue", [_alias_catalogue, _shadow_catalogue],
+                         ids=["two-keys-one-class", "algorithm-named-like-a-service"])
+def test_build_rejects_two_components_of_one_name(make_catalogue):
+    # an assignment to the shared name would reach only one of them, while
+    # the capture would record both under that name
+    catalogue, algorithms = make_catalogue()
+    config = demo_config("", algorithms=algorithms, ThresholdFilter__Min=0.9)
+    with pytest.raises(DuplicateComponent):
+        build_job(config, catalogue)
+
+
+@pytest.mark.parametrize("prop", ["TopAlg", "Services"])
+@pytest.mark.parametrize("value", [3, [1, 2]], ids=["integer", "list-of-integer"])
+def test_build_rejects_a_component_list_of_the_wrong_kind(prop, value):
+    config = OptionsSet([(f"ApplicationMgr.{prop}", value)])
+    with pytest.raises(KindMismatch):
+        build_job(config)
+
+
 def test_build_rejects_reserved_component_name():
     catalogue = standard_catalogue()
     catalogue.tools["Provenance"] = type("Provenance", (Algorithm,), {})

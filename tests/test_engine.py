@@ -4,6 +4,7 @@ to the event row, and the replay fixpoint over random configs."""
 import hashlib
 import os
 import random
+import struct
 import tempfile
 
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from provrun import PhaseStatus, extract_info, read_block, run_job, standard_catalogue
 from provrun.algorithms import Algorithm
 from provrun.cli import EXIT_OK, main
-from provrun.container import INFO_BLOCK, ContainerReader
+from provrun.container import INFO_BLOCK, ContainerReader, write_container
 from provrun.errors import AlgorithmFailure
 from provrun.events import decode_events
 
@@ -143,6 +144,19 @@ def test_misnamed_field_behind_a_veto_all_filter_is_never_read(tmp_path):
     assert job.report.succeeded
     assert job.report.events_seen == 5
     assert job.report.events_written == 0
+
+
+def test_input_naming_one_field_twice_fails_initialize(tmp_path):
+    source, out = tmp_path / "twice.pdc", tmp_path / "out.pdc"
+    fields = struct.pack("<I", 2) + (struct.pack("<H", 1) + b"a") * 2
+    write_container(source, [("events", fields + struct.pack("<4d", 1, 2, 3, 4))])
+    job = run_job(demo_config(out, algorithms=("FileEventSource", "ThresholdFilter"),
+                              FileEventSource__Input=str(source),
+                              ThresholdFilter__Field="a", ThresholdFilter__Min=1.5))
+    assert job.report.phases["initialize"] is PhaseStatus.FAILED
+    assert isinstance(job.failure, AlgorithmFailure)
+    assert str(job.failure).startswith(f"cannot read input {str(source)!r}: ")
+    assert not out.exists()
 
 
 # --- by-name access -----------------------------------------------------------------

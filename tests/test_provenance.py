@@ -96,6 +96,13 @@ def test_start_is_idempotent(tmp_path):
     assert job.metadata_svc.get_metadata().emit() == first.emit()
 
 
+def test_capture_is_idempotent(tmp_path):
+    job = run_job(demo_config(tmp_path / "twice.pdc"))
+    first = job.metadata_svc.get_metadata()
+    job.metadata_svc.capture(job)
+    assert job.metadata_svc.get_metadata() is first
+
+
 def test_snapshot_reenables_capture_on_replay(tmp_path):
     job = run_job(demo_config(tmp_path / "self.pdc"))
     snapshot = job.metadata_svc.get_metadata()

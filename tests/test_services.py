@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from provrun import OptionsSet, build_job, run_job, standard_catalogue
+from provrun import OptionsSet, build_job, extract_info, run_job, standard_catalogue
 from provrun.errors import UnknownTool
 from provrun.services import Service
 
@@ -41,6 +41,20 @@ def test_apply_log_length_matches_assignment_count():
         job = build_job(config)
         log = job.options_svc.apply_all(job)
         assert len(log) == len(config)
+
+
+def test_apply_log_holds_the_lineage_declarations_of_a_derived_container(tmp_path):
+    first, second = tmp_path / "first.pdc", tmp_path / "second.pdc"
+    assert run_job(demo_config(first, algorithms=("RandomEventSource",))).report.succeeded
+    assert run_job(demo_config(second, algorithms=("FileEventSource",),
+                               FileEventSource__Input=str(first))).report.succeeded
+    config = extract_info(second).to_options()
+    job = build_job(config)
+    log = job.options_svc.apply_all(job)
+    assert len(log) == len(config)
+    keys = [key.text for key, _ in log]
+    assert keys.count("Provenance.Inputs.I0.Path") == 1
+    assert keys.count("Provenance.Inputs.I0.Checksum") == 1
 
 
 # --- message service -----------------------------------------------------------
