@@ -67,12 +67,21 @@ def _pinned_jobs():
             FileEventSource__Input="full.pdc", ThresholdFilter__Min=0.6,
             Provenance__Inputs__I0__Path="full.pdc",
             Provenance__Inputs__I0__Checksum=FULL_EVENTS_CRC), None),
+        # 7500 draws cross many 2048-draw boundaries, and 5 fields do not
+        # divide 2048, so some events straddle two of them; seed -1 is
+        # 2**64 - 1 to the generator
+        ("chunked.pdc", demo_config(
+            "chunked.pdc", algorithms=_FILTER_SUM, RandomEventSource__Seed=-1,
+            RandomEventSource__NumEvents=1500, RandomEventSource__FieldCount=5,
+            ThresholdFilter__Field="f3", ThresholdFilter__Min=0.1,
+            Accumulator__Field="f4"), None),
     ]
 
 
 # Recorded with the dict-per-event engine that the row engine replaced
 # (tuned.pdc and declared.pdc: before the job's components shared one name
-# table); a differing digest is a change of output bytes, never a refactor.
+# table; chunked.pdc: with the draw-at-a-time SplitMix64 source); a
+# differing digest is a change of output bytes, never a refactor.
 PINNED = {
     "full.pdc": [
         ("events", "5eab11021e5615fc7c25a29671f921759d426a329bf7dcd0dff5549612edb1c4"),
@@ -104,6 +113,11 @@ PINNED = {
     "declared.pdc": [
         ("events", "31163cd964c75084183b4e69b804a2579f7ba2fd8ba829b4b53df0e2c186094d"),
         ("info", "dae0898cb1eb3058b8b61eeb75870b8e5fdbec23766e3765ba1d5e0ee27eada6"),
+    ],
+    "chunked.pdc": [
+        ("events", "f28be8974d398baba9a7222556454679db3b457c917cf124564c0ade2997de1c"),
+        ("summary", "9377680eadfe4c397b3fed84cbb123847e34810f9a9409abbe38e0999cd8ada5"),
+        ("info", "c68e8a2e9cfb4f59c1fd43f6923a6d7bdf5c87ac18e9e751b22eb2bf2a422679"),
     ],
 }
 
