@@ -12,13 +12,14 @@ the schema lacks fails only the first event that reaches its reader.
 from __future__ import annotations
 
 import os
+from itertools import chain
 
 from .components import Component, ComponentKind
 from .container import ContainerReader
 from .errors import AlgorithmFailure, CorruptContainer, InvalidConfiguration, LineageMissing
 from .events import decode_events
 from .options import Kind, OptionsSet, emit_canonical
-from .rng import SplitMix64
+from .rng import LANES, draw_doubles
 
 
 class Algorithm(Component):
@@ -48,7 +49,8 @@ class EventSource(Algorithm):
 
 class RandomEventSource(EventSource):
     """Uniform [0,1) fields f0..f{k-1}, one SplitMix64 draw per field per
-    event in event-major order; identical seeds give identical payloads."""
+    event in event-major order; identical seeds give identical payloads.
+    The draws are made a lane chunk of events at a time (`draw_doubles`)."""
 
     PROPERTIES = (
         ("Seed", Kind.INTEGER, 0),
@@ -61,14 +63,28 @@ class RandomEventSource(EventSource):
         field_count = self.value("FieldCount")
         if count < 0 or field_count < 0:
             raise AlgorithmFailure("NumEvents and FieldCount must be non-negative")
-        self._rng = SplitMix64(self.value("Seed"))
+        self._next_row = _random_rows(self.value("Seed"), count, field_count).__next__
         self.fields = [f"f{i}" for i in range(field_count)]
         return count
 
     def process(self, job, event) -> bool:
-        draw = self._rng.next_double
-        event.row = [draw() for _ in self.fields]
+        event.row = self._next_row()
         return True
+
+
+def _random_rows(seed: int, count: int, width: int):
+    """`count` rows of `width` draws of `SplitMix64(seed)`, each a new list
+    (the writer keeps them), drawn one chunk of events at a time."""
+    if not width:
+        return ([] for _ in range(count))
+    per_chunk = max(1, LANES // width)
+
+    def chunk(first: int) -> list[list[float]]:
+        n = min(per_chunk, count - first) * width
+        draws = draw_doubles(seed, first * width, n)
+        return [draws[i:i + width] for i in range(0, n, width)]
+
+    return chain.from_iterable(map(chunk, range(0, count, per_chunk)))
 
 
 class FileEventSource(EventSource):

@@ -3,7 +3,8 @@ initialize / execute / finalize phases over the services and the algorithm
 chain, and triggers provenance capture and persistency at the end.
 
 One name table, `Job.components` (manager, services in start order,
-algorithms), holds each name once: an assignment reaches what is captured.
+algorithms, then tools as they are retrieved), holds each name once: an
+assignment reaches what is captured.
 
 Phase contract: initialize precedes execute precedes finalize, and finalize
 runs exactly once per job no matter how execute ends. Two runs of the same
@@ -139,6 +140,9 @@ class Job:
                     self.writer]
         for component in (self.app, *standard):
             self._add(component)
+        for name in self.catalogue.tools:
+            if name in self.components:
+                raise DuplicateComponent(f"tool {name!r} is named like a standard service")
         # always-on services may be named redundantly
         self.registry = standard + self._instantiate(
             "Services", "service", self.catalogue.services,
@@ -178,21 +182,23 @@ class Job:
         return instances
 
     def find_component(self, name: str) -> Optional[Component]:
-        component = self.components.get(name)
-        if component is None and self.tool_svc.knows(name):
+        if self.tool_svc.knows(name):
             # assigning to a catalogued tool instantiates it, so its resolved
             # configuration is part of the capture
-            component = self.tool_svc.retrieve(name)
-        return component
+            return self.tool(name)
+        return self.components.get(name)
 
     def iter_components(self):
-        """Everything the capture traverses: the name table, then the tools
-        that were actually instantiated."""
-        yield from self.components.values()
-        yield from self.tool_svc.instances.values()
+        """Everything the capture traverses: the name table."""
+        return iter(self.components.values())
 
     def tool(self, name: str) -> Component:
-        return self.tool_svc.retrieve(name)
+        """The one instance of catalogued tool `name`; its first retrieval
+        enters it in the name table."""
+        tool = self.tool_svc.retrieve(name)
+        if self.components.get(tool.name) is not tool:
+            self._add(tool)
+        return tool
 
     def log(self, level: int, component: str, message: str) -> None:
         self.msg.log(level, component, message)

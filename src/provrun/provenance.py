@@ -3,7 +3,7 @@
 Started with the other services, where it refuses `Enabled = false`. It
 captures from finalize only, after every option has been applied, so the
 snapshot sees the fully resolved configuration: for each component of the
-job's name table and each retrieved tool, every declared property is
+job's name table (retrieved tools included), every declared property is
 recorded with its resolved typed value, whether it was set explicitly or
 left at its default. Input lineage (path + checksum of each consumed
 container) rides along under the reserved lineage keys of

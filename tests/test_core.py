@@ -66,8 +66,16 @@ def _shadow_catalogue():
     return catalogue, ("RandomEventSource", "MessageSvc")
 
 
-@pytest.mark.parametrize("make_catalogue", [_alias_catalogue, _shadow_catalogue],
-                         ids=["two-keys-one-class", "algorithm-named-like-a-service"])
+def _tool_shadow_catalogue():
+    catalogue = standard_catalogue()
+    catalogue.tools["MessageSvc"] = catalogue.tools["DemoTool"]
+    return catalogue, ("RandomEventSource",)
+
+
+@pytest.mark.parametrize("make_catalogue",
+                         [_alias_catalogue, _shadow_catalogue, _tool_shadow_catalogue],
+                         ids=["two-keys-one-class", "algorithm-named-like-a-service",
+                              "tool-named-like-a-service"])
 def test_build_rejects_two_components_of_one_name(make_catalogue):
     # an assignment to the shared name would reach only one of them, while
     # the capture would record both under that name
@@ -75,6 +83,16 @@ def test_build_rejects_two_components_of_one_name(make_catalogue):
     config = demo_config("", algorithms=algorithms, ThresholdFilter__Min=0.9)
     with pytest.raises(DuplicateComponent):
         build_job(config, catalogue)
+
+
+def test_initialize_rejects_two_tools_of_one_name():
+    # two catalogue keys of one tool class would run two instances named
+    # DemoTool, and the capture would record only one of their Gains
+    catalogue = standard_catalogue()
+    catalogue.tools["Amp"] = catalogue.tools["DemoTool"]
+    job = build_job(demo_config("", Amp__Gain=2.0, DemoTool__Gain=3.0), catalogue)
+    assert job.initialize() is PhaseStatus.FAILED
+    assert isinstance(job.failure, DuplicateComponent)
 
 
 @pytest.mark.parametrize("prop", ["TopAlg", "Services"])

@@ -1,5 +1,6 @@
 """The per-event engine: pinned output bytes, field binding, by-name access
-to the event row, and the replay fixpoint over random configs."""
+to the event row, the random source against the stateful generator, and the
+replay fixpoint over random configs."""
 
 import hashlib
 import os
@@ -7,6 +8,7 @@ import random
 import struct
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from provrun import PhaseStatus, extract_info, read_block, run_job, standard_catalogue
@@ -14,7 +16,8 @@ from provrun.algorithms import Algorithm
 from provrun.cli import EXIT_OK, main
 from provrun.container import INFO_BLOCK, ContainerReader, write_container
 from provrun.errors import AlgorithmFailure
-from provrun.events import decode_events
+from provrun.events import decode_events, encode_events
+from provrun.rng import SplitMix64
 
 from helpers import demo_config, random_demo_config
 from test_core import failing_catalogue
@@ -218,6 +221,43 @@ def test_event_store_get_of_an_unknown_name_fails_execute(tmp_path):
     assert job.report.phases["execute"] is PhaseStatus.FAILED
     assert isinstance(job.failure, AlgorithmFailure)
     assert str(job.failure) == "event 0 has no field 'ghost'"
+
+
+# --- the random source ------------------------------------------------------------
+
+class KeepRows(Algorithm):
+    """Holds on to every row it sees, as the writer does."""
+
+    def start(self, job):
+        self.rows = []
+
+    def process(self, job, event):
+        self.rows.append(event.row)
+        return True
+
+
+# 2051 fields put one event's row across two lane chunks of draws
+@pytest.mark.parametrize("field_count, num_events",
+                         [(0, 5), (1, 2100), (3, 1400), (4, 1100), (2051, 3)])
+def test_random_source_rows_equal_the_stateful_reference(tmp_path, field_count,
+                                                         num_events):
+    catalogue = standard_catalogue()
+    catalogue.algorithms["KeepRows"] = KeepRows
+    out = tmp_path / "random.pdc"
+    job = run_job(demo_config(out, algorithms=("RandomEventSource", "KeepRows"),
+                              RandomEventSource__Seed=-7,
+                              RandomEventSource__NumEvents=num_events,
+                              RandomEventSource__FieldCount=field_count), catalogue)
+    assert job.report.succeeded, job.report.error
+    rng = SplitMix64(-7)
+    expected = [[rng.next_double() for _ in range(field_count)]
+                for _ in range(num_events)]
+    fields = [f"f{i}" for i in range(field_count)]
+    assert read_block(out, "events") == encode_events(fields, expected)
+    kept = job.algorithms[1].rows
+    assert kept == expected
+    assert all(type(row) is list for row in kept)
+    assert len({id(row) for row in kept}) == num_events
 
 
 # --- replay fixpoint ------------------------------------------------------------------
