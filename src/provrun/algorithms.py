@@ -14,17 +14,15 @@ from __future__ import annotations
 import os
 from itertools import chain
 
-from .components import Component, ComponentKind
-from .container import ContainerReader
-from .errors import AlgorithmFailure, CorruptContainer, InvalidConfiguration, LineageMissing
+from .components import Component
+from .container import ContainerReader, refuse_overwrite
+from .errors import AlgorithmFailure, CorruptContainer, LineageMissing
 from .events import decode_events
 from .options import Kind, OptionsSet, emit_canonical
 from .rng import LANES, draw_doubles
 
 
 class Algorithm(Component):
-    kind = ComponentKind.ALGORITHM
-
     def start(self, job) -> None:
         pass
 
@@ -103,11 +101,7 @@ class FileEventSource(EventSource):
             if len(job.lineage) in job.expected_inputs:
                 raise LineageMissing(f"declared input {path!r} no longer exists")
             raise AlgorithmFailure(f"input container {path!r} does not exist")
-        output = job.app.value("OutputFile")
-        if output and os.path.exists(output) and os.path.samefile(path, output):
-            raise InvalidConfiguration(
-                f"ApplicationMgr.OutputFile {output!r} would overwrite the input "
-                f"{path!r}")
+        refuse_overwrite(path, job.app.value("OutputFile"))
         try:
             with ContainerReader(path) as reader:
                 payload = reader.read_block("events")
@@ -174,7 +168,6 @@ class DemoTool(Component):
     """The one catalogued tool; exists so the capture traversal over tools
     is exercised for real."""
 
-    kind = ComponentKind.TOOL
     PROPERTIES = (("Gain", Kind.FLOAT, 1.0),)
 
     def amplify(self, value: float) -> float:

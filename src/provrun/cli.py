@@ -9,16 +9,20 @@ scripts can tell triage outcomes apart.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional
 
-from .container import INFO_BLOCK, ContainerReader, extract_info, write_atomically
+from .container import (
+    INFO_BLOCK,
+    ContainerReader,
+    extract_info,
+    refuse_overwrite,
+    write_atomically,
+)
 from .core import PhaseStatus, run_job
 from .diff import DiffReport, diff_dictionaries
 from .errors import (
     ChecksumMismatch,
-    InvalidConfiguration,
     LineageError,
     MissingInfo,
     OptionsError,
@@ -99,16 +103,9 @@ def cmd_view(container_path: str, fmt: str = "table") -> int:
     return EXIT_OK
 
 
-def _refuse_overwrite(container_path: str, out_path: str) -> None:
-    """Raise if `out_path` names the existing input container, symlinks included."""
-    if os.path.exists(out_path) and os.path.samefile(container_path, out_path):
-        raise InvalidConfiguration(
-            f"{out_path!r} would overwrite the input container {container_path!r}")
-
-
 def cmd_export(container_path: str, out_path: str) -> int:
     info = extract_info(container_path)
-    _refuse_overwrite(container_path, out_path)
+    refuse_overwrite(container_path, out_path)
     write_atomically(out_path, [info.emit().encode("utf-8")])
     print(f"exported {len(info)} option(s) to {out_path}", file=sys.stderr)
     return EXIT_OK
@@ -126,7 +123,7 @@ def cmd_replay(container_path: str, out_path: str) -> int:
         info = extract_info(container_path)
     except MissingInfo:
         return _fail(f"no provenance recorded in {container_path}")
-    _refuse_overwrite(container_path, out_path)
+    refuse_overwrite(container_path, out_path)
     original = _payload_checksums(container_path)
 
     config = info.to_options()

@@ -10,16 +10,9 @@ resolved at finalize time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .errors import KindMismatch, UnknownProperty
 from .options import Kind, KindSpec, OptionValue
-
-
-class ComponentKind(Enum):
-    ALGORITHM = "algorithm"
-    SERVICE = "service"
-    TOOL = "tool"
 
 
 @dataclass
@@ -52,7 +45,6 @@ def _as_kind_spec(kind) -> KindSpec:
 class Component:
     """Base for algorithms, services, and tools."""
 
-    kind: ComponentKind
     PROPERTIES: tuple = ()
 
     def __init__(self):
@@ -74,7 +66,7 @@ class Component:
         return self.spec(prop_name).applied.python()
 
     def __repr__(self):
-        return f"<{self.kind.value} {self.name}>"
+        return f"<{self.name}>"
 
 
 LIST_OF_TEXT = KindSpec(Kind.LIST, Kind.TEXT)

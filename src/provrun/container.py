@@ -38,6 +38,7 @@ from .errors import (
     ChecksumMismatch,
     CorruptContainer,
     DuplicateBlock,
+    InvalidConfiguration,
     MissingInfo,
     ReservedNameMisuse,
     UnknownBlock,
@@ -83,6 +84,14 @@ def write_atomically(path, chunks: Iterable[bytes]) -> None:
         with contextlib.suppress(OSError):
             os.remove(temporary)
         raise WriteFailure(f"cannot write {path}: {exc}") from exc
+
+
+def refuse_overwrite(source, target) -> None:
+    """Raise if `target` names the existing file `source`, symlinks included:
+    writing it would destroy the input being read."""
+    if os.path.exists(target) and os.path.samefile(source, target):
+        raise InvalidConfiguration(
+            f"{os.fspath(target)!r} would overwrite the input {os.fspath(source)!r}")
 
 
 def write_container(path, blocks: Iterable[tuple[str, bytes]],

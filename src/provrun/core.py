@@ -2,9 +2,11 @@
 initialize / execute / finalize phases over the services and the algorithm
 chain, and triggers provenance capture and persistency at the end.
 
-One name table, `Job.components` (manager, services in start order,
-algorithms, then tools as they are retrieved), holds each name once: an
-assignment reaches what is captured.
+A component's one name is its class name, which is also its catalogue key;
+the build refuses a catalogue that breaks this. One name table,
+`Job.components` (manager, services in start order, algorithms, then tools
+as they are retrieved), is the job's only table of instances: an assignment
+reaches what is captured, and replay finds it under the same name.
 
 Phase contract: initialize precedes execute precedes finalize, and finalize
 runs exactly once per job no matter how execute ends. Two runs of the same
@@ -19,13 +21,14 @@ from typing import Optional
 
 from . import algorithms as demo_algorithms
 from .algorithms import Algorithm, DemoTool, EventSource
-from .components import Component, ComponentKind, LIST_OF_TEXT
+from .components import Component, LIST_OF_TEXT
 from .errors import (
     DuplicateComponent,
     InvalidConfiguration,
     LineageMismatch,
     ProvrunError,
     UnknownComponent,
+    UnknownTool,
 )
 from .options import Kind, OptionsSet
 from .provenance import InputLineage, MetaDataSvc, SERVICE_NAME as METADATA_SERVICE
@@ -69,7 +72,6 @@ class JobReport:
 class ApplicationMgr(Component):
     """Job-level reserved configuration: what to run and where output goes."""
 
-    kind = ComponentKind.SERVICE
     PROPERTIES = (
         ("AppName", Kind.TEXT, "provrun"),
         ("AppVersion", Kind.TEXT, "0"),
@@ -81,7 +83,8 @@ class ApplicationMgr(Component):
 
 @dataclass
 class Catalogue:
-    """Available component factories, keyed by component name."""
+    """Available component classes, each keyed by its own `__name__`: the
+    one name the config, the capture and replay know it by."""
 
     algorithms: dict[str, type]
     services: dict[str, type]
@@ -110,7 +113,6 @@ class Job:
         self.app = ApplicationMgr()
         self.msg = MessageSvc()
         self.options_svc = JobOptionsSvc()
-        self.tool_svc = ToolSvc(catalogue.tools)
         self.events = EventDataSvc()
         self.writer = ContainerWriterSvc()
         self.components: dict[str, Component] = {}
@@ -126,23 +128,25 @@ class Job:
     # --- wiring ---------------------------------------------------------
 
     def _build(self) -> None:
-        tables = (self.catalogue.algorithms, self.catalogue.services,
-                  self.catalogue.tools)
-        for name in _RESERVED_NAMES:
-            if any(name in table for table in tables):
-                raise InvalidConfiguration(
-                    f"component name {name!r} collides with a reserved namespace")
-        all_names = [name for table in tables for name in table]
-        if len(all_names) != len(set(all_names)):
-            raise DuplicateComponent("catalogue lists a component name twice")
-
-        standard = [self.msg, self.options_svc, self.tool_svc, self.events,
+        standard = [self.msg, self.options_svc, ToolSvc(), self.events,
                     self.writer]
         for component in (self.app, *standard):
             self._add(component)
-        for name in self.catalogue.tools:
-            if name in self.components:
-                raise DuplicateComponent(f"tool {name!r} is named like a standard service")
+        names = list(self.components)
+        for table in (self.catalogue.algorithms, self.catalogue.services,
+                      self.catalogue.tools):
+            for name, factory in table.items():
+                if name in _RESERVED_NAMES:
+                    raise InvalidConfiguration(
+                        f"component name {name!r} collides with a reserved namespace")
+                if name != factory.__name__:
+                    raise DuplicateComponent(
+                        f"catalogue key {name!r} is not its class's name "
+                        f"{factory.__name__!r}")
+                names.append(name)
+        if len(names) != len(set(names)):
+            raise DuplicateComponent(
+                "the catalogue lists a name twice or names a standard component")
         # always-on services may be named redundantly
         self.registry = standard + self._instantiate(
             "Services", "service", self.catalogue.services,
@@ -156,9 +160,6 @@ class Job:
                     f"event source {alg.name!r} must be first in TopAlg")
 
     def _add(self, component: Component) -> Component:
-        if component.name in self.components:
-            raise DuplicateComponent(
-                f"two components of this job are named {component.name!r}")
         self.components[component.name] = component
         return component
 
@@ -182,23 +183,20 @@ class Job:
         return instances
 
     def find_component(self, name: str) -> Optional[Component]:
-        if self.tool_svc.knows(name):
+        if name in self.catalogue.tools:
             # assigning to a catalogued tool instantiates it, so its resolved
             # configuration is part of the capture
             return self.tool(name)
         return self.components.get(name)
 
-    def iter_components(self):
-        """Everything the capture traverses: the name table."""
-        return iter(self.components.values())
-
     def tool(self, name: str) -> Component:
         """The one instance of catalogued tool `name`; its first retrieval
         enters it in the name table."""
-        tool = self.tool_svc.retrieve(name)
-        if self.components.get(tool.name) is not tool:
-            self._add(tool)
-        return tool
+        factory = self.catalogue.tools.get(name)
+        if factory is None:
+            raise UnknownTool(f"no tool named {name!r} in the catalogue")
+        tool = self.components.get(name)
+        return tool if tool is not None else self._add(factory())
 
     def log(self, level: int, component: str, message: str) -> None:
         self.msg.log(level, component, message)

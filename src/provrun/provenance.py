@@ -59,7 +59,7 @@ class MetaDataSvc(Service):
 
     def collect_data(self, job) -> MetadataDictionary:
         snapshot = OptionsSet()
-        for component in job.iter_components():
+        for component in job.components.values():
             for spec in component.specs.values():
                 snapshot.set(OptionKey(component.name, spec.name), spec.applied)
         for lineage in job.lineage:

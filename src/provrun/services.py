@@ -1,5 +1,5 @@
 """The standard service set: message logging, option application (which
-logs every assignment, lineage declarations included), tool management,
+logs every assignment, lineage declarations included), the tool service,
 the event store (which is the event every algorithm is handed: one row of
 floats in schema order), and container persistency."""
 
@@ -9,13 +9,12 @@ import re
 import sys
 from typing import Optional
 
-from .components import Component, ComponentKind
+from .components import Component
 from .errors import (
     AlgorithmFailure,
     KindMismatch,
     UnknownComponent,
     UnknownProperty,
-    UnknownTool,
 )
 from .events import encode_events
 from .container import write_container
@@ -50,8 +49,6 @@ def parse_lineage_key(key: OptionKey) -> tuple[int, str]:
 
 
 class Service(Component):
-    kind = ComponentKind.SERVICE
-
     def start(self, job) -> None:
         pass
 
@@ -105,25 +102,9 @@ class JobOptionsSvc(Service):
 
 
 class ToolSvc(Service):
-    """Single shared tool instance per name, created on first request."""
-
-    def __init__(self, tool_catalogue: Optional[dict] = None):
-        super().__init__()
-        self._catalogue = tool_catalogue or {}
-        self.instances: dict[str, Component] = {}
-
-    def retrieve(self, name: str) -> Component:
-        if name in self.instances:
-            return self.instances[name]
-        factory = self._catalogue.get(name)
-        if factory is None:
-            raise UnknownTool(f"no tool named {name!r} in the catalogue")
-        tool = factory()
-        self.instances[name] = tool
-        return tool
-
-    def knows(self, name: str) -> bool:
-        return name in self._catalogue
+    """The standard tool service; it holds no state. `Job.tool` makes the one
+    instance of a catalogued tool on first request and keeps it, like every
+    instance, in the job's name table."""
 
 
 class EventDataSvc(Service):

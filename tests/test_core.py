@@ -14,7 +14,7 @@ from provrun import (
     run_job,
     standard_catalogue,
 )
-from provrun.algorithms import Algorithm
+from provrun.algorithms import Algorithm, DemoTool
 from provrun.errors import (
     AlgorithmFailure,
     DuplicateComponent,
@@ -23,6 +23,7 @@ from provrun.errors import (
     MissingInfo,
     UnknownComponent,
 )
+from provrun.services import Service
 
 from helpers import demo_config, random_demo_config
 
@@ -72,13 +73,35 @@ def _tool_shadow_catalogue():
     return catalogue, ("RandomEventSource",)
 
 
+def _lone_alias_catalogue():
+    catalogue = standard_catalogue()
+    catalogue.algorithms["LowCut"] = catalogue.algorithms.pop("ThresholdFilter")
+    return catalogue, ("RandomEventSource", "LowCut")
+
+
+def _lone_tool_alias_catalogue():
+    catalogue = standard_catalogue()
+    catalogue.tools = {"Amp": DemoTool}
+    return catalogue, ("RandomEventSource",)
+
+
+def _service_shadow_catalogue():
+    catalogue = standard_catalogue()
+    catalogue.services["MessageSvc"] = type("MessageSvc", (Service,), {})
+    return catalogue, ("RandomEventSource",)
+
+
 @pytest.mark.parametrize("make_catalogue",
-                         [_alias_catalogue, _shadow_catalogue, _tool_shadow_catalogue],
+                         [_alias_catalogue, _shadow_catalogue, _tool_shadow_catalogue,
+                          _lone_alias_catalogue, _lone_tool_alias_catalogue,
+                          _service_shadow_catalogue],
                          ids=["two-keys-one-class", "algorithm-named-like-a-service",
-                              "tool-named-like-a-service"])
+                              "tool-named-like-a-service", "lone-algorithm-alias",
+                              "lone-tool-alias", "service-named-like-a-service"])
 def test_build_rejects_two_components_of_one_name(make_catalogue):
     # an assignment to the shared name would reach only one of them, while
-    # the capture would record both under that name
+    # the capture would record both under that name; a lone alias answers
+    # to its key in TopAlg but to its class name in assignments and capture
     catalogue, algorithms = make_catalogue()
     config = demo_config("", algorithms=algorithms, ThresholdFilter__Min=0.9)
     with pytest.raises(DuplicateComponent):
@@ -87,12 +110,12 @@ def test_build_rejects_two_components_of_one_name(make_catalogue):
 
 def test_initialize_rejects_two_tools_of_one_name():
     # two catalogue keys of one tool class would run two instances named
-    # DemoTool, and the capture would record only one of their Gains
+    # DemoTool, and the capture would record only one of their Gains; the
+    # catalogue is refused before anything is instantiated
     catalogue = standard_catalogue()
     catalogue.tools["Amp"] = catalogue.tools["DemoTool"]
-    job = build_job(demo_config("", Amp__Gain=2.0, DemoTool__Gain=3.0), catalogue)
-    assert job.initialize() is PhaseStatus.FAILED
-    assert isinstance(job.failure, DuplicateComponent)
+    with pytest.raises(DuplicateComponent):
+        build_job(demo_config("", Amp__Gain=2.0, DemoTool__Gain=3.0), catalogue)
 
 
 @pytest.mark.parametrize("prop", ["TopAlg", "Services"])
@@ -181,7 +204,7 @@ def test_resolved_values_equal_config_or_default():
         config.set("ApplicationMgr.OutputFile", "")
         job = build_job(config)
         assert job.initialize() is PhaseStatus.OK
-        for component in job.iter_components():
+        for component in job.components.values():
             for spec in component.specs.values():
                 expected = config.get(f"{component.name}.{spec.name}", spec.default)
                 assert spec.applied == expected

@@ -70,7 +70,7 @@ def test_capture_is_resolved_not_just_explicit(tmp_path):
     out = tmp_path / "resolved.pdc"
     job = run_job(demo_config(out))
     snapshot = job.metadata_svc.get_metadata()
-    for component in job.iter_components():
+    for component in job.components.values():
         for spec in component.specs.values():
             assert snapshot[f"{component.name}.{spec.name}"] == \
                 value_to_text(spec.applied)
