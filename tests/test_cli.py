@@ -78,6 +78,28 @@ def test_run_reports_syntax_error_position(tmp_path, capsys):
     assert "column" in err
 
 
+def test_run_into_a_missing_directory_fails_finalize(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config_path = tmp_path / "c.opts"
+    write_config(config_path, demo_config("missing_dir/out.pdc"))
+    assert main(["run", str(config_path)]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert "finalize     failed" in out
+    assert "error: finalize: cannot write missing_dir/out.pdc" in err
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("prop, value", [("Path", 3), ("Checksum", -1),
+                                         ("Checksum", 4294967296), ("Checksum", 1.5)])
+def test_run_refuses_a_lineage_declaration_of_the_wrong_kind(tmp_path, capsys, prop,
+                                                             value):
+    config_path = tmp_path / "c.opts"
+    write_config(config_path, demo_config(tmp_path / "x.pdc",
+                                          **{f"Provenance__Inputs__I0__{prop}": value}))
+    assert main(["run", str(config_path)]) == EXIT_ERROR
+    assert "initialize   failed" in capsys.readouterr().out
+
+
 def test_run_twice_is_byte_identical(demo_files):
     config_path, out = demo_files
     assert main(["run", str(config_path)]) == EXIT_OK
@@ -304,6 +326,20 @@ def test_replay_detects_tampered_summary(tmp_path, capsys):
     forge_summary(derived)
     assert main(["replay", str(derived), str(tmp_path / "r.pdc")]) == EXIT_VERIFY
     assert "summary" in capsys.readouterr().err
+
+
+def test_replay_of_info_without_a_default_is_a_provenance_mismatch(demo_files, tmp_path,
+                                                                   capsys):
+    config_path, out = demo_files
+    assert main(["run", str(config_path)]) == EXIT_OK
+    info = extract_info(out)
+    with ContainerReader(out) as reader:
+        blocks = [(name, reader.read_block(name)) for name in reader.block_names()
+                  if name != "info"]
+    write_container(out, blocks, info=info.without("MessageSvc.OutputLevel"))
+    capsys.readouterr()
+    assert main(["replay", str(out), str(tmp_path / "r.pdc")]) == EXIT_VERIFY
+    assert "replayed provenance differs" in capsys.readouterr().err
 
 
 def same_file_name(tmp_path, path, via_link):

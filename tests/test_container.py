@@ -408,3 +408,49 @@ def test_events_codec_rejects_garbage():
         decode_events(struct.pack("<I", 1) + struct.pack("<H", 2) + b"f0" + b"xyz")
     with pytest.raises(CorruptContainer):
         decode_events(struct.pack("<I", 0) + b"extra")
+
+
+_VALID_EVENTS = encode_events(["f0", "ß"], [[1.0, -0.0], [2.5, 3.5]])
+_event_edits = st.lists(st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, len(_VALID_EVENTS))),
+    st.tuples(st.just("mutate"), st.integers(0, len(_VALID_EVENTS)), st.integers(1, 255)),
+    st.tuples(st.just("insert"), st.integers(0, len(_VALID_EVENTS)), st.integers(0, 255)),
+), min_size=1, max_size=3)
+
+
+def _edited_events(edits) -> bytes:
+    data = bytearray(_VALID_EVENTS)
+    for edit in edits:
+        pos = min(edit[1], len(data))
+        if edit[0] == "truncate":
+            del data[pos:]
+        elif edit[0] == "mutate" and pos < len(data):
+            data[pos] ^= edit[2]
+        elif edit[0] == "insert":
+            data[pos:pos] = bytes([edit[2]])
+    return bytes(data)
+
+
+@settings(max_examples=300)
+@given(data=st.one_of(st.binary(max_size=64), _event_edits.map(_edited_events)))
+def test_decode_events_raises_only_corrupt_container(data):
+    with contextlib.suppress(CorruptContainer):
+        names, rows = decode_events(data)
+        assert all(len(row) == len(names) for row in rows)
+
+
+class _RawInfo:
+    """Stands in for a metadata dictionary whose document is `text`."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def emit(self):
+        return self.text
+
+
+def test_extract_info_refuses_an_info_block_that_is_not_an_options_document(tmp_path):
+    path = tmp_path / "bad.pdc"
+    write_container(path, [("events", b"")], info=_RawInfo("not an options document\n"))
+    with pytest.raises(CorruptContainer):
+        extract_info(path)

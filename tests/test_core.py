@@ -22,6 +22,7 @@ from provrun.errors import (
     KindMismatch,
     MissingInfo,
     UnknownComponent,
+    WriteFailure,
 )
 from provrun.services import Service
 
@@ -356,3 +357,45 @@ def test_accumulator_writes_summary_block(tmp_path):
     payload = read_block(out, "summary").decode()
     assert "Accumulator.Count = 5" in payload
     assert "Accumulator.Sum = " in payload
+
+
+def test_finalize_write_failure_fails_finalize_and_stops_every_service(tmp_path):
+    job = build_job(demo_config(tmp_path / "missing_dir" / "out.pdc"))
+    stopped = []
+    for svc in job.registry:
+        svc.stop = lambda job, svc=svc, stop=svc.stop: (stopped.append(svc.name),
+                                                         stop(job))
+    job.run()
+    assert job.report.phases["initialize"] is PhaseStatus.OK
+    assert job.report.phases["execute"] is PhaseStatus.OK
+    assert job.report.phases["finalize"] is PhaseStatus.FAILED
+    assert job.report.error.startswith("finalize: cannot write")
+    assert isinstance(job.failure, WriteFailure)
+    assert stopped == [svc.name for svc in reversed(job.registry)]
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+# --- refusals -------------------------------------------------------------------
+
+@pytest.mark.parametrize("prop, value", [("Path", 3), ("Checksum", -1),
+                                         ("Checksum", 4294967296), ("Checksum", 1.5)])
+def test_lineage_declaration_of_the_wrong_kind_fails_initialize(tmp_path, prop, value):
+    config = demo_config(tmp_path / "x.pdc", **{f"Provenance__Inputs__I0__{prop}": value})
+    job = run_job(config)
+    assert job.report.phases["initialize"] is PhaseStatus.FAILED
+    assert isinstance(job.failure, KindMismatch)
+    assert not (tmp_path / "x.pdc").exists()
+
+
+def test_negative_event_count_fails_execute(tmp_path):
+    job, _ = run_demo(tmp_path, RandomEventSource__NumEvents=-1)
+    assert job.report.phases["execute"] is PhaseStatus.FAILED
+    assert isinstance(job.failure, AlgorithmFailure)
+
+
+def test_file_source_without_input_fails_initialize(tmp_path):
+    job, out = run_demo(tmp_path, algorithms=("FileEventSource",))
+    assert job.report.phases["initialize"] is PhaseStatus.FAILED
+    assert isinstance(job.failure, AlgorithmFailure)
+    assert str(job.failure) == "FileEventSource.Input is not set"
+    assert not out.exists()

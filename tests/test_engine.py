@@ -148,6 +148,16 @@ def test_misnamed_filter_field_fails_at_the_first_event(tmp_path):
     assert decode_events(read_block(out, "events")) == (["f0"], [])
 
 
+def test_misnamed_accumulator_field_fails_at_the_first_event(tmp_path):
+    job = run_job(demo_config(tmp_path / "misnamed.pdc",
+                              algorithms=("RandomEventSource", "Accumulator"),
+                              RandomEventSource__NumEvents=5, Accumulator__Field="nope"))
+    assert job.report.phases["execute"] is PhaseStatus.FAILED
+    assert job.report.events_seen == 0
+    assert isinstance(job.failure, AlgorithmFailure)
+    assert str(job.failure) == "event 0 has no field 'nope'"
+
+
 def test_misnamed_field_without_events_is_never_read(tmp_path):
     job = run_job(demo_config(tmp_path / "none.pdc", RandomEventSource__NumEvents=0,
                               ThresholdFilter__Field="nope"))
