@@ -13,8 +13,7 @@ import sys
 from typing import Optional
 
 from .container import (
-    INFO_BLOCK,
-    ContainerReader,
+    differing_blocks,
     extract_info,
     refuse_overwrite,
     write_atomically,
@@ -24,7 +23,6 @@ from .diff import DiffReport, diff_dictionaries
 from .errors import (
     ChecksumMismatch,
     LineageError,
-    MissingInfo,
     OptionsError,
     ProvrunError,
 )
@@ -89,10 +87,7 @@ def _display_value(text: str) -> str:
 
 
 def cmd_view(container_path: str, fmt: str = "table") -> int:
-    try:
-        info = extract_info(container_path)
-    except MissingInfo:
-        return _fail(f"no provenance recorded in {container_path}")
+    info = extract_info(container_path)
     if fmt == "tsv":
         for key, value in info.items():
             print(f"{key}\t{value}")
@@ -111,20 +106,9 @@ def cmd_export(container_path: str, out_path: str) -> int:
     return EXIT_OK
 
 
-def _payload_checksums(path) -> dict[str, int]:
-    """Stored crc32c of every block but `info`, by name."""
-    with ContainerReader(path) as reader:
-        return {name: reader.block_crc(name) for name in reader.block_names()
-                if name != INFO_BLOCK}
-
-
 def cmd_replay(container_path: str, out_path: str) -> int:
-    try:
-        info = extract_info(container_path)
-    except MissingInfo:
-        return _fail(f"no provenance recorded in {container_path}")
+    info = extract_info(container_path)
     refuse_overwrite(container_path, out_path)
-    original = _payload_checksums(container_path)
 
     config = info.to_options()
     config.set(OUTPUT_FILE_KEY, out_path)
@@ -133,17 +117,15 @@ def cmd_replay(container_path: str, out_path: str) -> int:
     if not job.report.succeeded:
         return _fail(job.report.error, _code_for(job.failure))
 
-    replayed = _payload_checksums(out_path)
-    if replayed != original:
-        differing = sorted(name for name in original.keys() | replayed.keys()
-                           if original.get(name) != replayed.get(name))
-        return _fail(f"replayed block checksums differ from the original: "
+    differing = differing_blocks(container_path, out_path)
+    if differing:
+        return _fail(f"replayed blocks differ from the original: "
                      f"{', '.join(differing)}", EXIT_VERIFY)
     new_info = extract_info(out_path)
     if new_info.without(OUTPUT_FILE_KEY) != info.without(OUTPUT_FILE_KEY):
         return _fail("replayed provenance differs from the original "
                      "(beyond the output path)", EXIT_VERIFY)
-    print("replay verified: block checksums and provenance match", file=sys.stderr)
+    print("replay verified: blocks and provenance match", file=sys.stderr)
     return EXIT_OK
 
 

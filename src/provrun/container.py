@@ -8,10 +8,14 @@ File layout (integers little-endian):
     format_version   u32 = 1
     toc_offset       u64
     payloads         raw block bytes, concatenated in write order
-    TOC              u32 entry count, then per entry:
-                     u16 name length, name UTF-8, u64 offset, u64 length,
-                     u32 crc32c of the payload
+    TOC              a counted name table whose entry tail is u64 offset,
+                     u64 length, u32 crc32c of the payload
     trailer          u32 crc32c over the TOC bytes
+
+A counted name table, shared with the `events` block's field list
+(`encode_table`/`decode_table`), is a u32 entry count, then per entry a
+u16 byte length, the UTF-8 name and a fixed-size tail (empty for `events`);
+no name appears twice.
 
 The TOC sits at the end, after the payloads whose offsets and checksums it
 records. Every offset is known before the first byte is written, so the
@@ -28,7 +32,7 @@ import contextlib
 import io
 import os
 import struct
-from typing import BinaryIO, Iterable, Optional, Union
+from typing import BinaryIO, Iterable, Optional, Sequence, Union
 
 from . import options
 from .crc import crc32c
@@ -52,8 +56,48 @@ INFO_BLOCK = "info"
 
 _HEADER = struct.Struct("<8sIQ")
 _TOC_ENTRY_TAIL = struct.Struct("<QQI")
+_NO_TAIL = struct.Struct("<")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
+
+
+def encode_table(entries: Sequence[tuple[str, bytes]]) -> bytes:
+    """The counted name table of (name, packed entry tail) pairs."""
+    parts = [_U32.pack(len(entries))]
+    for name, tail in entries:
+        encoded = name.encode("utf-8")
+        if len(encoded) > 0xFFFF:
+            raise ValueError(f"name too long: {name[:32]!r}...")
+        parts += (_U16.pack(len(encoded)), encoded, tail)
+    return b"".join(parts)
+
+
+def decode_table(data: bytes, tail: struct.Struct = _NO_TAIL
+                 ) -> tuple[dict[str, tuple], int]:
+    """The counted name table at the start of `data`: each name's unpacked
+    `tail` in table order, and the offset just past the table."""
+    if len(data) < _U32.size:
+        raise CorruptContainer("truncated name table")
+    (count,) = _U32.unpack_from(data, 0)
+    pos = _U32.size
+    entries: dict[str, tuple] = {}
+    for _ in range(count):
+        if pos + _U16.size > len(data):
+            raise CorruptContainer("truncated name table")
+        (name_len,) = _U16.unpack_from(data, pos)
+        pos += _U16.size
+        end = pos + name_len
+        if end + tail.size > len(data):
+            raise CorruptContainer("truncated name table")
+        try:
+            name = data[pos:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptContainer(f"name is not UTF-8: {exc}") from None
+        if name in entries:
+            raise CorruptContainer(f"name {name!r} listed twice")
+        entries[name] = tail.unpack_from(data, end)
+        pos = end + tail.size
+    return entries, pos
 
 
 def _normalize_blocks(blocks: Iterable[tuple[str, bytes]]) -> list[tuple[str, bytes]]:
@@ -108,17 +152,13 @@ def write_container(path, blocks: Iterable[tuple[str, bytes]],
         pairs.append((INFO_BLOCK, info.emit().encode("utf-8")))
     checksums: dict[str, int] = {}
     offset = _HEADER.size
-    toc_parts = [_U32.pack(len(pairs))]
+    entries = []
     for name, payload in pairs:
-        encoded = name.encode("utf-8")
-        if len(encoded) > 0xFFFF:
-            raise ValueError(f"block name too long: {name[:32]!r}...")
         crc = crc32c(payload)
         checksums[name] = crc
-        toc_parts.append(_U16.pack(len(encoded)) + encoded
-                         + _TOC_ENTRY_TAIL.pack(offset, len(payload), crc))
+        entries.append((name, _TOC_ENTRY_TAIL.pack(offset, len(payload), crc)))
         offset += len(payload)
-    toc = b"".join(toc_parts)
+    toc = encode_table(entries)
     write_atomically(path, [_HEADER.pack(MAGIC, FORMAT_VERSION, offset),
                             *(payload for _, payload in pairs),
                             toc, _U32.pack(crc32c(toc))])
@@ -163,32 +203,14 @@ class ContainerReader:
         toc, (stored_crc,) = tail[:-4], _U32.unpack(tail[-4:])
         if crc32c(toc) != stored_crc:
             raise ChecksumMismatch("table of contents checksum mismatch")
-        (count,) = _U32.unpack_from(toc, 0)
-        pos = 4
-        entries: dict[str, tuple[int, int, int]] = {}
+        entries, end = decode_table(toc, _TOC_ENTRY_TAIL)
+        if end != len(toc):
+            raise CorruptContainer("trailing bytes in table of contents")
         previous_end = _HEADER.size
-        for _ in range(count):
-            if pos + 2 > len(toc):
-                raise CorruptContainer("truncated table of contents")
-            (name_len,) = _U16.unpack_from(toc, pos)
-            pos += 2
-            if pos + name_len + _TOC_ENTRY_TAIL.size > len(toc):
-                raise CorruptContainer("truncated table of contents")
-            try:
-                name = toc[pos:pos + name_len].decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorruptContainer(f"block name is not UTF-8: {exc}") from None
-            pos += name_len
-            offset, length, crc = _TOC_ENTRY_TAIL.unpack_from(toc, pos)
-            pos += _TOC_ENTRY_TAIL.size
-            if name in entries:
-                raise CorruptContainer(f"block {name!r} listed twice")
+        for name, (offset, length, _) in entries.items():
             if offset < previous_end or offset + length > toc_offset:
                 raise CorruptContainer(f"block {name!r} has bad bounds")
             previous_end = offset + length
-            entries[name] = (offset, length, crc)
-        if pos != len(toc):
-            raise CorruptContainer("trailing bytes in table of contents")
         self._entries = entries
 
     def block_names(self) -> list[str]:
@@ -207,13 +229,18 @@ class ContainerReader:
         except KeyError:
             raise UnknownBlock(f"no block named {name!r}") from None
 
-    def read_block(self, name: str) -> bytes:
-        offset, length, crc = self._entry(name)
+    def _read_raw(self, name: str) -> bytes:
+        """A block's bytes as stored, not checked against its crc32c."""
+        offset, length, _ = self._entry(name)
         self._file.seek(offset)
         payload = self._file.read(length)
         if len(payload) != length:
             raise CorruptContainer(f"block {name!r} is truncated")
-        if crc32c(payload) != crc:
+        return payload
+
+    def read_block(self, name: str) -> bytes:
+        payload = self._read_raw(name)
+        if crc32c(payload) != self.block_crc(name):
             raise ChecksumMismatch(f"block {name!r} checksum mismatch")
         return payload
 
@@ -233,6 +260,17 @@ def read_block(path, name: str) -> bytes:
         return reader.read_block(name)
 
 
+def differing_blocks(path_a, path_b) -> list[str]:
+    """Sorted names of the blocks other than `info` that one container lacks,
+    or whose stored crc32c or bytes differ between the two."""
+    with ContainerReader(path_a) as a, ContainerReader(path_b) as b:
+        names = (set(a.block_names()) | set(b.block_names())) - {INFO_BLOCK}
+        return sorted(name for name in names
+                      if not (a.has_block(name) and b.has_block(name))
+                      or a.block_crc(name) != b.block_crc(name)
+                      or a._read_raw(name) != b._read_raw(name))
+
+
 def extract_info(path) -> MetadataDictionary:
     """The embedded provenance snapshot: the parsed `info` block, wrapped.
 
@@ -240,7 +278,7 @@ def extract_info(path) -> MetadataDictionary:
     """
     with ContainerReader(path) as reader:
         if not reader.has_block(INFO_BLOCK):
-            raise MissingInfo("container has no info block")
+            raise MissingInfo(f"no provenance recorded in {path}")
         payload = reader.read_block(INFO_BLOCK)
     try:
         text = payload.decode("utf-8")

@@ -15,9 +15,10 @@ config produce byte-identical output containers.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import algorithms as demo_algorithms
 from .algorithms import Algorithm, DemoTool, EventSource
@@ -226,34 +227,45 @@ class Job:
 
     # --- phases -----------------------------------------------------------
 
-    def initialize(self) -> PhaseStatus:
+    @contextlib.contextmanager
+    def _phase(self, name: str) -> Iterator[None]:
+        """Run one phase's body and set its status: a ProvrunError fails the
+        phase, and the job's first failure is kept in `failure` and
+        `report.error`."""
         try:
+            yield
+        except ProvrunError as exc:
+            if self.failure is None:
+                self.failure = exc
+                self.report.error = f"{name}: {exc}"
+            self.log(LEVEL_ERROR, "ApplicationMgr", f"{name} failed: {exc}")
+            self.report.phases[name] = PhaseStatus.FAILED
+        else:
+            self.report.phases[name] = PhaseStatus.OK
+
+    def initialize(self) -> PhaseStatus:
+        with self._phase("initialize"):
             self.options_svc.apply_all(self)
             for svc in self.registry:
                 svc.start(self)
             for alg in self.algorithms:
                 alg.start(self)  # sources read and verify their inputs here
             self._check_all_inputs_consumed()
-            status = PhaseStatus.OK
             self.log(LEVEL_INFO, "ApplicationMgr",
                      f"initialized {len(self.algorithms)} algorithm(s), "
                      f"{len(self.registry)} service(s)")
-        except ProvrunError as exc:
-            self._record_failure("initialize", exc)
-            status = PhaseStatus.FAILED
-        self.report.phases["initialize"] = status
-        return status
+        return self.report.phases["initialize"]
 
     def execute(self) -> PhaseStatus:
         if self.report.phases.get("initialize") is not PhaseStatus.OK:
             self.report.phases["execute"] = PhaseStatus.SKIPPED
             return PhaseStatus.SKIPPED
-        try:
+        with self._phase("execute"):
             event, planned = self.events, 0
             source = self.algorithms[0] if self.algorithms else None
             if isinstance(source, EventSource):
                 planned = source.plan(self)
-                event.set_schema(source.fields)
+                event.fields = list(source.fields)
             for alg in self.algorithms:
                 alg.bind(event)
             for index in range(planned):
@@ -265,59 +277,45 @@ class Job:
                     self.report.events_written += 1
                     self.writer.add_event(event.row)
                 self.report.events_seen += 1
-            status = PhaseStatus.OK
             self.log(LEVEL_INFO, "ApplicationMgr",
                      f"processed {self.report.events_seen} event(s), "
                      f"kept {self.report.events_written}")
-        except ProvrunError as exc:
-            self._record_failure("execute", exc)
-            status = PhaseStatus.FAILED
-        self.report.phases["execute"] = status
-        return status
+        return self.report.phases["execute"]
 
     def finalize(self) -> PhaseStatus:
         if "finalize" in self.report.phases:  # runs exactly once per job
             return self.report.phases["finalize"]
-        initialized = self.report.phases.get("initialize") is PhaseStatus.OK
-        try:
-            if initialized:
-                for alg in self.algorithms:
-                    alg.finish(self)
-                if self.metadata_svc is not None:
-                    # capture happens here and only here: every option has
-                    # been applied by now, so nothing is lost
-                    self.metadata_svc.capture(self)
-                output_path = self.app.value("OutputFile")
-                self.report.output_path = output_path
-                if output_path:
-                    info = (self.metadata_svc.get_metadata()
-                            if self.metadata_svc is not None else None)
-                    checksums = self.writer.write(output_path, self.events.fields,
-                                                  info)
-                    self.report.payload_checksum = checksums.get("events")
-                    self.log(LEVEL_INFO, "ContainerWriterSvc",
-                             f"wrote {output_path}")
-            status = PhaseStatus.OK
-        except ProvrunError as exc:
-            self._record_failure("finalize", exc)
-            status = PhaseStatus.FAILED
-        finally:
-            for svc in reversed(self.registry):
-                svc.stop(self)
-        self.report.phases["finalize"] = status
-        return status
+        with self._phase("finalize"):
+            try:
+                if self.report.phases.get("initialize") is PhaseStatus.OK:
+                    self._persist()
+            finally:
+                for svc in reversed(self.registry):
+                    svc.stop(self)
+        return self.report.phases["finalize"]
+
+    def _persist(self) -> None:
+        """Finish the algorithms, capture the provenance, write the output."""
+        for alg in self.algorithms:
+            alg.finish(self)
+        if self.metadata_svc is not None:
+            # capture happens here and only here: every option has been
+            # applied by now, so nothing is lost
+            self.metadata_svc.capture(self)
+        output_path = self.app.value("OutputFile")
+        if output_path:
+            info = (self.metadata_svc.get_metadata()
+                    if self.metadata_svc is not None else None)
+            checksums = self.writer.write(output_path, self.events.fields, info)
+            self.report.output_path = output_path
+            self.report.payload_checksum = checksums.get("events")
+            self.log(LEVEL_INFO, "ContainerWriterSvc", f"wrote {output_path}")
 
     def run(self) -> JobReport:
         self.initialize()
         self.execute()
         self.finalize()
         return self.report
-
-    def _record_failure(self, phase: str, exc: BaseException) -> None:
-        if self.failure is None:
-            self.failure = exc
-            self.report.error = f"{phase}: {exc}"
-        self.log(LEVEL_ERROR, "ApplicationMgr", f"{phase} failed: {exc}")
 
 
 def build_job(config: OptionsSet, catalogue: Optional[Catalogue] = None) -> Job:

@@ -25,7 +25,7 @@ def diff_dictionaries(left: Mapping[str, str], right: Mapping[str, str]) -> Diff
     left_map = dict(left.items())
     right_map = dict(right.items())
     report = DiffReport()
-    for key in sorted(set(left_map) | set(right_map), key=lambda k: k.encode("utf-8")):
+    for key in sorted(set(left_map) | set(right_map)):
         in_left = key in left_map
         in_right = key in right_map
         if in_left and not in_right:

@@ -204,9 +204,6 @@ class OptionKey:
     def text(self) -> str:
         return f"{self.component}.{self.prop}"
 
-    def sort_key(self) -> bytes:
-        return self.text.encode("utf-8")
-
     def __str__(self):
         return self.text
 
@@ -248,7 +245,8 @@ class OptionsSet:
         return iter(self.items())
 
     def items(self) -> list[tuple[OptionKey, OptionValue]]:
-        return sorted(self._entries.items(), key=lambda kv: kv[0].sort_key())
+        # UTF-8 preserves code-point order, so plain str order is key-byte order
+        return sorted(self._entries.items(), key=lambda kv: kv[0].text)
 
     def keys(self) -> list[OptionKey]:
         return [key for key, _ in self.items()]

@@ -117,9 +117,6 @@ class EventDataSvc(Service):
         self.index = 0
         self.row: list[float] = []
 
-    def set_schema(self, fields: list[str]) -> None:
-        self.fields = list(fields)
-
     def column(self, field_name: str) -> Optional[int]:
         """Position of `field_name` in the row; None if the schema lacks it."""
         return self.fields.index(field_name) if field_name in self.fields else None

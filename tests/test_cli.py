@@ -89,6 +89,15 @@ def test_run_into_a_missing_directory_fails_finalize(tmp_path, capsys, monkeypat
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
+def test_run_into_a_missing_directory_prints_no_output_line(tmp_path, capsys,
+                                                             monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config_path = tmp_path / "c.opts"
+    write_config(config_path, demo_config("missing_dir/out.pdc"))
+    assert main(["run", str(config_path)]) == EXIT_ERROR
+    assert "output " not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("prop, value", [("Path", 3), ("Checksum", -1),
                                          ("Checksum", 4294967296), ("Checksum", 1.5)])
 def test_run_refuses_a_lineage_declaration_of_the_wrong_kind(tmp_path, capsys, prop,
@@ -326,6 +335,20 @@ def test_replay_detects_tampered_summary(tmp_path, capsys):
     forge_summary(derived)
     assert main(["replay", str(derived), str(tmp_path / "r.pdc")]) == EXIT_VERIFY
     assert "summary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block", ["events", "summary"])
+def test_replay_detects_a_flipped_payload_byte_under_an_intact_toc(tmp_path, capsys, block):
+    _, derived = derived_from_source(tmp_path)
+    payload = read_block(derived, block)
+    data = bytearray(derived.read_bytes())
+    data[data.index(payload) + len(payload) - 1] ^= 0x01
+    derived.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main(["replay", str(derived), str(tmp_path / "r.pdc")]) == EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert block in err
+    assert "verified" not in err
 
 
 def test_replay_of_info_without_a_default_is_a_provenance_mismatch(demo_files, tmp_path,

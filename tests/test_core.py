@@ -375,6 +375,30 @@ def test_finalize_write_failure_fails_finalize_and_stops_every_service(tmp_path)
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
+def test_a_failed_write_reports_no_output(tmp_path):
+    job = run_job(demo_config(tmp_path / "missing_dir" / "out.pdc"))
+    assert job.report.phases["finalize"] is PhaseStatus.FAILED
+    assert job.report.output_path == ""
+    assert job.report.payload_checksum is None
+
+
+class FailingStop(Service):
+    def stop(self, job):
+        raise AlgorithmFailure("stop failed")
+
+
+def test_a_failing_service_stop_fails_finalize(tmp_path):
+    catalogue = standard_catalogue()
+    catalogue.services["FailingStop"] = FailingStop
+    out = tmp_path / "out.pdc"
+    config = demo_config(out)
+    config.set("ApplicationMgr.Services", ["MetaDataSvc", "FailingStop"])
+    job = run_job(config, catalogue)
+    assert job.report.phases["finalize"] is PhaseStatus.FAILED
+    assert job.report.error == "finalize: stop failed"
+    assert out.exists()
+
+
 # --- refusals -------------------------------------------------------------------
 
 @pytest.mark.parametrize("prop, value", [("Path", 3), ("Checksum", -1),
