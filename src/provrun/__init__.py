@@ -27,7 +27,7 @@ from .options import (
     parse_value,
     value_to_text,
 )
-from .provenance import InputLineage, MetaDataSvc
+from .provenance import MetaDataSvc
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "Catalogue",
     "ContainerReader",
     "DiffReport",
-    "InputLineage",
     "Job",
     "JobReport",
     "Kind",

@@ -98,7 +98,7 @@ class FileEventSource(EventSource):
         if not path:
             raise AlgorithmFailure(f"{self.name}.Input is not set")
         if not os.path.exists(path):
-            if len(job.lineage) in job.expected_inputs:
+            if job.lineage.next_is_declared():
                 raise LineageMissing(f"declared input {path!r} no longer exists")
             raise AlgorithmFailure(f"input container {path!r} does not exist")
         refuse_overwrite(path, job.app.value("OutputFile"))
@@ -109,7 +109,7 @@ class FileEventSource(EventSource):
             self.fields, self._rows = decode_events(payload)
         except CorruptContainer as exc:
             raise AlgorithmFailure(f"cannot read input {path!r}: {exc}") from exc
-        job.record_input(path, crc)
+        job.lineage.record(path, crc)
 
     def plan(self, job) -> int:
         return len(self._rows)

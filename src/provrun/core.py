@@ -26,13 +26,12 @@ from .components import Component, LIST_OF_TEXT
 from .errors import (
     DuplicateComponent,
     InvalidConfiguration,
-    LineageMismatch,
     ProvrunError,
     UnknownComponent,
     UnknownTool,
 )
 from .options import Kind, OptionsSet
-from .provenance import InputLineage, MetaDataSvc, SERVICE_NAME as METADATA_SERVICE
+from .provenance import MetaDataSvc, SERVICE_NAME as METADATA_SERVICE
 from .services import (
     LEVEL_ERROR,
     LEVEL_INFO,
@@ -40,6 +39,7 @@ from .services import (
     ContainerWriterSvc,
     EventDataSvc,
     JobOptionsSvc,
+    Lineage,
     MessageSvc,
     Service,
     ToolSvc,
@@ -120,9 +120,7 @@ class Job:
         self.registry: list[Service] = []  # start order; stop is reverse
         self.metadata_svc: Optional[MetaDataSvc] = None
         self.algorithms: list[Algorithm] = []
-        self.lineage: list[InputLineage] = []
-        # declared input lineage, by ordinal: {"Path": str, "Checksum": int}
-        self.expected_inputs: dict[int, dict[str, object]] = {}
+        self.lineage = Lineage()
         self.report = JobReport()
         self.failure: Optional[BaseException] = None
 
@@ -199,32 +197,6 @@ class Job:
         tool = self.components.get(name)
         return tool if tool is not None else self._add(factory())
 
-    def log(self, level: int, component: str, message: str) -> None:
-        self.msg.log(level, component, message)
-
-    # --- lineage ----------------------------------------------------------
-
-    def record_input(self, path: str, checksum: int) -> None:
-        ordinal = len(self.lineage)
-        expected = self.expected_inputs.get(ordinal)
-        if expected is not None:
-            if expected.get("Path", path) != path:
-                raise LineageMismatch(
-                    f"input {ordinal} is declared as {expected['Path']!r} but the "
-                    f"job reads {path!r}")
-            if expected.get("Checksum", checksum) != checksum:
-                raise LineageMismatch(
-                    f"input {path!r} checksum {checksum} differs from the "
-                    f"declared {expected['Checksum']}")
-        self.lineage.append(InputLineage(ordinal, path, checksum))
-
-    def _check_all_inputs_consumed(self) -> None:
-        expected = sorted(self.expected_inputs)
-        if expected and expected != list(range(len(self.lineage))):
-            raise LineageMismatch(
-                f"config declares input ordinals {expected} but the job "
-                f"consumed {len(self.lineage)} input(s)")
-
     # --- phases -----------------------------------------------------------
 
     @contextlib.contextmanager
@@ -238,7 +210,7 @@ class Job:
             if self.failure is None:
                 self.failure = exc
                 self.report.error = f"{name}: {exc}"
-            self.log(LEVEL_ERROR, "ApplicationMgr", f"{name} failed: {exc}")
+            self.msg.log(LEVEL_ERROR, "ApplicationMgr", f"{name} failed: {exc}")
             self.report.phases[name] = PhaseStatus.FAILED
         else:
             self.report.phases[name] = PhaseStatus.OK
@@ -250,10 +222,10 @@ class Job:
                 svc.start(self)
             for alg in self.algorithms:
                 alg.start(self)  # sources read and verify their inputs here
-            self._check_all_inputs_consumed()
-            self.log(LEVEL_INFO, "ApplicationMgr",
-                     f"initialized {len(self.algorithms)} algorithm(s), "
-                     f"{len(self.registry)} service(s)")
+            self.lineage.check_declared_were_read()
+            self.msg.log(LEVEL_INFO, "ApplicationMgr",
+                         f"initialized {len(self.algorithms)} algorithm(s), "
+                         f"{len(self.registry)} service(s)")
         return self.report.phases["initialize"]
 
     def execute(self) -> PhaseStatus:
@@ -277,21 +249,27 @@ class Job:
                     self.report.events_written += 1
                     self.writer.add_event(event.row)
                 self.report.events_seen += 1
-            self.log(LEVEL_INFO, "ApplicationMgr",
-                     f"processed {self.report.events_seen} event(s), "
-                     f"kept {self.report.events_written}")
+            self.msg.log(LEVEL_INFO, "ApplicationMgr",
+                         f"processed {self.report.events_seen} event(s), "
+                         f"kept {self.report.events_written}")
         return self.report.phases["execute"]
 
     def finalize(self) -> PhaseStatus:
         if "finalize" in self.report.phases:  # runs exactly once per job
             return self.report.phases["finalize"]
         with self._phase("finalize"):
+            stop_error: Optional[Exception] = None
             try:
                 if self.report.phases.get("initialize") is PhaseStatus.OK:
                     self._persist()
-            finally:
+            finally:  # stop every service; a _persist error outranks any stop's
                 for svc in reversed(self.registry):
-                    svc.stop(self)
+                    try:
+                        svc.stop(self)
+                    except Exception as exc:
+                        stop_error = stop_error or exc
+            if stop_error is not None:
+                raise stop_error
         return self.report.phases["finalize"]
 
     def _persist(self) -> None:
@@ -309,7 +287,7 @@ class Job:
             checksums = self.writer.write(output_path, self.events.fields, info)
             self.report.output_path = output_path
             self.report.payload_checksum = checksums.get("events")
-            self.log(LEVEL_INFO, "ContainerWriterSvc", f"wrote {output_path}")
+            self.msg.log(LEVEL_INFO, "ContainerWriterSvc", f"wrote {output_path}")
 
     def run(self) -> JobReport:
         self.initialize()

@@ -6,31 +6,21 @@ snapshot sees the fully resolved configuration: for each component of the
 job's name table (retrieved tools included), every declared property is
 recorded with its resolved typed value, whether it was set explicitly or
 left at its default. Input lineage (path + checksum of each consumed
-container) rides along under the reserved lineage keys of
-`services.lineage_key`. The dictionary never contains wall-clock times or
-host identity, which is what makes replay a byte-level fixpoint.
+container) rides along under the reserved keys that `services.Lineage`
+writes. The dictionary never contains wall-clock times or host identity,
+which is what makes replay a byte-level fixpoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidConfiguration, NotCollected
 from .metadata import MetadataDictionary
 from .options import Kind, OptionKey, OptionsSet
-from .services import Service, lineage_key
+from .services import Service
 
 SERVICE_NAME = "MetaDataSvc"
-
-
-@dataclass(frozen=True)
-class InputLineage:
-    """Identity of one consumed input, dense ordinals in consumption order."""
-
-    ordinal: int
-    path: str
-    checksum: int
 
 
 class MetaDataSvc(Service):
@@ -62,9 +52,8 @@ class MetaDataSvc(Service):
         for component in job.components.values():
             for spec in component.specs.values():
                 snapshot.set(OptionKey(component.name, spec.name), spec.applied)
-        for lineage in job.lineage:
-            snapshot.set(lineage_key(lineage.ordinal, "Path"), lineage.path)
-            snapshot.set(lineage_key(lineage.ordinal, "Checksum"), lineage.checksum)
+        for key, value in job.lineage.items():
+            snapshot.set(key, value)
         return MetadataDictionary(snapshot)
 
     def get_metadata(self) -> MetadataDictionary:

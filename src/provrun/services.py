@@ -1,18 +1,20 @@
 """The standard service set: message logging, option application (which
 logs every assignment, lineage declarations included), the tool service,
 the event store (which is the event every algorithm is handed: one row of
-floats in schema order), and container persistency."""
+floats in schema order), and container persistency; and `Lineage`, the
+job's one record of its declared inputs and the inputs it reads."""
 
 from __future__ import annotations
 
 import re
 import sys
-from typing import Optional
+from typing import Iterator, Optional
 
 from .components import Component
 from .errors import (
     AlgorithmFailure,
     KindMismatch,
+    LineageMismatch,
     UnknownComponent,
     UnknownProperty,
 )
@@ -24,28 +26,68 @@ from .options import Kind, OptionKey, OptionValue
 LINEAGE_COMPONENT = "Provenance"
 # ordinals are canonical decimals, so one input cannot be named two ways
 _LINEAGE_PROP = re.compile(r"Inputs\.I(0|[1-9][0-9]*)\.(Path|Checksum)\Z")
+_LINEAGE_FIELDS = ("Path", "Checksum")  # the order of an input's (path, checksum)
 
-LEVEL_DEBUG = 0
-LEVEL_VERBOSE = 1
 LEVEL_INFO = 2
-LEVEL_WARNING = 3
 LEVEL_ERROR = 4
 
 _LEVEL_NAMES = {0: "DEBUG", 1: "VERBOSE", 2: "INFO", 3: "WARNING", 4: "ERROR"}
 
 
-def lineage_key(ordinal: int, field: str) -> str:
-    """The reserved key recording input `ordinal`'s Path or Checksum."""
-    return f"{LINEAGE_COMPONENT}.Inputs.I{ordinal}.{field}"
+class Lineage:
+    """A job's input lineage, the only code that knows the reserved keys
+    `Provenance.Inputs.I<n>.Path/Checksum`. It holds the config's
+    declarations, by (ordinal, field), and the inputs the job reads, as
+    (path, checksum) in read order: an input's ordinal is its position."""
 
+    def __init__(self):
+        self.declared: dict[tuple[int, str], object] = {}
+        self.inputs: list[tuple[str, int]] = []
 
-def parse_lineage_key(key: OptionKey) -> tuple[int, str]:
-    """Ordinal and field (Path or Checksum) of a reserved lineage key."""
-    match = _LINEAGE_PROP.match(key.prop)
-    if match is None:
-        raise UnknownProperty(f"{key.text} is not a valid reserved lineage key "
-                              f"({LINEAGE_COMPONENT}.Inputs.I<n>.Path/Checksum)")
-    return int(match[1]), match[2]
+    @staticmethod
+    def _key(ordinal: int, field: str) -> str:
+        return f"{LINEAGE_COMPONENT}.Inputs.I{ordinal}.{field}"
+
+    def declare(self, key: OptionKey, value: OptionValue) -> None:
+        """Take one reserved assignment from the config, checking its form."""
+        match = _LINEAGE_PROP.match(key.prop)
+        if match is None:
+            raise UnknownProperty(f"{key.text} is not a valid reserved lineage key "
+                                  f"({LINEAGE_COMPONENT}.Inputs.I<n>.Path/Checksum)")
+        if match[2] == "Path":
+            if value.kind is not Kind.TEXT:
+                raise KindMismatch(f"{key.text} must be text")
+        elif value.kind is not Kind.INTEGER or not 0 <= value.value <= 0xFFFFFFFF:
+            raise KindMismatch(f"{key.text} must be a crc32c integer")
+        self.declared[int(match[1]), match[2]] = value.value
+
+    def next_is_declared(self) -> bool:
+        """Whether the config declares the input the job reads next."""
+        return any(ordinal == len(self.inputs) for ordinal, _ in self.declared)
+
+    def record(self, path: str, checksum: int) -> None:
+        """Enter the next input read; it must match what is declared of it."""
+        ordinal = len(self.inputs)
+        for field, read in zip(_LINEAGE_FIELDS, (path, checksum)):
+            declared = self.declared.get((ordinal, field), read)
+            if declared != read:
+                raise LineageMismatch(f"{self._key(ordinal, field)} is declared as "
+                                      f"{declared!r} but the job reads {read!r}")
+        self.inputs.append((path, checksum))
+
+    def check_declared_were_read(self) -> None:
+        """Refuse declarations that name inputs the job did not read."""
+        declared = sorted({ordinal for ordinal, _ in self.declared})
+        if declared and declared != list(range(len(self.inputs))):
+            raise LineageMismatch(
+                f"config declares input ordinals {declared} but the job "
+                f"consumed {len(self.inputs)} input(s)")
+
+    def items(self) -> Iterator[tuple[str, object]]:
+        """The reserved (key, value) pairs of the inputs read, for the capture."""
+        for ordinal, read in enumerate(self.inputs):
+            for field, value in zip(_LINEAGE_FIELDS, read):
+                yield self._key(ordinal, field), value
 
 
 class Service(Component):
@@ -80,7 +122,7 @@ class JobOptionsSvc(Service):
         self.applied_log = []
         for key, value in job.config:
             if key.component == LINEAGE_COMPONENT:
-                self._declare_lineage(job, key, value)
+                job.lineage.declare(key, value)
             else:
                 target = job.find_component(key.component)
                 if target is None:
@@ -89,16 +131,6 @@ class JobOptionsSvc(Service):
                 target.spec(key.prop).apply(value)
             self.applied_log.append((key, value))
         return list(self.applied_log)
-
-    @staticmethod
-    def _declare_lineage(job, key: OptionKey, value: OptionValue) -> None:
-        ordinal, field = parse_lineage_key(key)
-        if field == "Path":
-            if value.kind is not Kind.TEXT:
-                raise KindMismatch(f"{key.text} must be text")
-        elif value.kind is not Kind.INTEGER or not 0 <= value.value <= 0xFFFFFFFF:
-            raise KindMismatch(f"{key.text} must be a crc32c integer")
-        job.expected_inputs.setdefault(ordinal, {})[field] = value.value
 
 
 class ToolSvc(Service):

@@ -8,13 +8,16 @@ import pytest
 import provrun.container
 from provrun import (
     ContainerReader,
+    PhaseStatus,
     emit_canonical,
     extract_info,
     parse_options,
     read_block,
+    run_job,
     write_container,
 )
 from provrun.cli import EXIT_ERROR, EXIT_OK, EXIT_VERIFY, main
+from provrun.errors import AlgorithmFailure
 
 from helpers import FailingFile, demo_config
 
@@ -283,6 +286,21 @@ def test_replay_detects_missing_input(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_fails_on_a_missing_input_it_does_not_declare(tmp_path):
+    missing = tmp_path / "missing.pdc"
+    out = tmp_path / "out.pdc"
+    config = demo_config(out, algorithms=("FileEventSource",),
+                         FileEventSource__Input=str(missing))
+    job = run_job(config)
+    assert job.report.phases["initialize"] is PhaseStatus.FAILED
+    assert isinstance(job.failure, AlgorithmFailure)
+    assert str(job.failure) == f"input container {str(missing)!r} does not exist"
+    config_path = tmp_path / "missing.opts"
+    write_config(config_path, config)
+    assert main(["run", str(config_path)]) == EXIT_ERROR
+    assert not out.exists()
+
+
 def derived_from_source(tmp_path):
     """A source container and a FileEventSource job's container built on it."""
     source = tmp_path / "src.pdc"
@@ -437,6 +455,10 @@ def test_diff_reports_one_sided_keys(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "only in first:" in text
     assert "Accumulator.Field" in text
+    assert main(["diff", str(without), str(with_acc)]) == EXIT_VERIFY
+    text = capsys.readouterr().out
+    assert "only in first:" not in text
+    assert "Accumulator.Field" in text.split("only in second:")[1]
 
 
 def test_diff_missing_info_errors(tmp_path, capsys):

@@ -387,16 +387,39 @@ class FailingStop(Service):
         raise AlgorithmFailure("stop failed")
 
 
-def test_a_failing_service_stop_fails_finalize(tmp_path):
+class StopRecorder(Service):
+    stopped = False
+
+    def stop(self, job):
+        self.stopped = True
+
+
+def stop_test_catalogue():
     catalogue = standard_catalogue()
     catalogue.services["FailingStop"] = FailingStop
+    catalogue.services["StopRecorder"] = StopRecorder
+    return catalogue
+
+
+def test_a_failing_service_stop_fails_finalize(tmp_path):
     out = tmp_path / "out.pdc"
     config = demo_config(out)
-    config.set("ApplicationMgr.Services", ["MetaDataSvc", "FailingStop"])
-    job = run_job(config, catalogue)
+    config.set("ApplicationMgr.Services", ["MetaDataSvc", "StopRecorder", "FailingStop"])
+    job = run_job(config, stop_test_catalogue())
     assert job.report.phases["finalize"] is PhaseStatus.FAILED
     assert job.report.error == "finalize: stop failed"
     assert out.exists()
+    assert job.components["StopRecorder"].stopped
+
+
+def test_a_write_failure_is_reported_before_a_failing_stop(tmp_path):
+    config = demo_config(tmp_path / "missing_dir" / "out.pdc")
+    config.set("ApplicationMgr.Services", ["MetaDataSvc", "StopRecorder", "FailingStop"])
+    job = run_job(config, stop_test_catalogue())
+    assert job.report.phases["finalize"] is PhaseStatus.FAILED
+    assert job.report.error.startswith("finalize: cannot write")
+    assert isinstance(job.failure, WriteFailure)
+    assert job.components["StopRecorder"].stopped
 
 
 # --- refusals -------------------------------------------------------------------

@@ -81,6 +81,8 @@ def test_parse_negative_numbers_and_exponents():
 
 _PARSE_ERRORS = [  # (document, message fragment, column)
     ("A = 1", "malformed key", 1),
+    ("A.B 1", "expected '='", 5),
+    ("A.B = -", "expected digits", 7),
     ("A.B == 1", "expected a value", 6),
     ("A.B = 01", "leading zeros", 7),
     ("A.B = 1e999", "finite", 7),

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from provrun import (
+    ContainerReader,
     OptionsSet,
     build_job,
     extract_info,
@@ -166,6 +167,24 @@ def test_lineage_declared_path_must_match_configured_input(tmp_path):
     assert "declared" in str(job.failure)
 
 
+@pytest.mark.parametrize("field", ["Path", "Checksum"])
+def test_lineage_mismatch_names_the_reserved_key(tmp_path, field):
+    first = tmp_path / "first.pdc"
+    run_job(demo_config(first, algorithms=("RandomEventSource",)))
+    with ContainerReader(first) as reader:
+        read = {"Path": str(first), "Checksum": reader.block_crc("events")}
+    declared = {"Path": "/elsewhere/other.pdc", "Checksum": 123}
+    config = demo_config(tmp_path / "second.pdc", algorithms=("FileEventSource",),
+                         FileEventSource__Input=str(first))
+    config.set(f"Provenance.Inputs.I0.{field}", declared[field])
+    job = run_job(config)
+    from provrun.errors import LineageMismatch
+
+    assert isinstance(job.failure, LineageMismatch)
+    assert str(job.failure) == (f"Provenance.Inputs.I0.{field} is declared as "
+                                f"{declared[field]!r} but the job reads {read[field]!r}")
+
+
 def test_malformed_reserved_lineage_key_is_rejected(tmp_path):
     config = demo_config(tmp_path / "x.pdc")
     config.set("Provenance.Foo", 1)
@@ -194,12 +213,12 @@ def test_lineage_recorded_for_file_inputs(tmp_path):
                          FileEventSource__Input=str(first))
     job = run_job(config)
     assert job.report.succeeded, job.report.error
-    assert len(job.lineage) == 1
-    assert job.lineage[0].ordinal == 0
-    assert job.lineage[0].path == str(first)
+    assert len(job.lineage.inputs) == 1
+    path, checksum = job.lineage.inputs[0]
+    assert path == str(first)
     snapshot = job.metadata_svc.get_metadata()
     from provrun import OptionValue
 
     assert snapshot["Provenance.Inputs.I0.Path"] == value_to_text(
         OptionValue.of(str(first)))
-    assert snapshot["Provenance.Inputs.I0.Checksum"] == str(job.lineage[0].checksum)
+    assert snapshot["Provenance.Inputs.I0.Checksum"] == str(checksum)

@@ -67,7 +67,7 @@ def test_log_below_threshold_suppressed(capsys):
     job = build_job(OptionsSet())
     job.initialize()
     capsys.readouterr()
-    job.log(2, "Tester", "quiet")
+    job.msg.log(2, "Tester", "quiet")
     assert log_lines(capsys) == []
 
 
@@ -75,7 +75,7 @@ def test_log_at_threshold_emitted(capsys):
     job = build_job(OptionsSet())
     job.initialize()
     capsys.readouterr()
-    job.log(3, "Tester", "heard")
+    job.msg.log(3, "Tester", "heard")
     lines = log_lines(capsys)
     assert len(lines) == 1
     assert "heard" in lines[0] and "Tester" in lines[0]
@@ -86,7 +86,7 @@ def test_log_level_zero_emits_everything(capsys):
     job.initialize()
     capsys.readouterr()
     for level in range(5):
-        job.log(level, "Tester", f"msg{level}")
+        job.msg.log(level, "Tester", f"msg{level}")
     assert len(log_lines(capsys)) == 5
 
 
