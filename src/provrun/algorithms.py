@@ -12,7 +12,7 @@ the schema lacks fails only the first event that reaches its reader.
 from __future__ import annotations
 
 import os
-from itertools import chain
+from itertools import chain, repeat
 
 from .components import Component
 from .container import ContainerReader, refuse_overwrite
@@ -71,16 +71,15 @@ class RandomEventSource(EventSource):
 
 
 def _random_rows(seed: int, count: int, width: int):
-    """`count` rows of `width` draws of `SplitMix64(seed)`, each a new list
-    (the writer keeps them), drawn one chunk of events at a time."""
+    """`count` rows of `width` draws of `SplitMix64(seed)`, each a tuple,
+    drawn one chunk of events at a time."""
     if not width:
-        return ([] for _ in range(count))
+        return repeat((), count)
     per_chunk = max(1, LANES // width)
 
-    def chunk(first: int) -> list[list[float]]:
+    def chunk(first: int):
         n = min(per_chunk, count - first) * width
-        draws = draw_doubles(seed, first * width, n)
-        return [draws[i:i + width] for i in range(0, n, width)]
+        return zip(*[iter(draw_doubles(seed, first * width, n))] * width)
 
     return chain.from_iterable(map(chunk, range(0, count, per_chunk)))
 

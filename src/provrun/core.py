@@ -240,15 +240,22 @@ class Job:
                 event.fields = list(source.fields)
             for alg in self.algorithms:
                 alg.bind(event)
-            for index in range(planned):
-                event.index = index
-                for alg in self.algorithms:
-                    if not alg.process(self, event):
-                        break
-                else:
-                    self.report.events_written += 1
-                    self.writer.add_event(event.row)
-                self.report.events_seen += 1
+            processes = [alg.process for alg in self.algorithms]
+            add_event = self.writer.add_event
+            seen = written = 0
+            try:
+                for index in range(planned):
+                    event.index = index
+                    for process in processes:
+                        if not process(self, event):
+                            break
+                    else:
+                        written += 1
+                        add_event(event.row)
+                    seen += 1
+            finally:  # exact counts even when an algorithm raises
+                self.report.events_seen += seen
+                self.report.events_written += written
             self.msg.log(LEVEL_INFO, "ApplicationMgr",
                          f"processed {self.report.events_seen} event(s), "
                          f"kept {self.report.events_written}")

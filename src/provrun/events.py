@@ -11,6 +11,7 @@ identical bytes.
 from __future__ import annotations
 
 import struct
+from itertools import chain, starmap
 from typing import Sequence
 
 from .container import decode_table, encode_table
@@ -20,16 +21,22 @@ from .errors import CorruptContainer
 def encode_events(field_names: Sequence[str], rows: Sequence[Sequence[float]]) -> bytes:
     if len(set(field_names)) != len(field_names):
         raise ValueError("the field list names a field twice")
-    parts = [encode_table([(name, b"") for name in field_names])]
+    header = encode_table([(name, b"") for name in field_names])
     pack_row = struct.Struct("<" + "d" * len(field_names)).pack
-    for row in rows:
-        if len(row) != len(field_names):
-            raise ValueError("row length does not match the field list")
-        parts.append(pack_row(*row))
-    return b"".join(parts)
+    try:
+        return b"".join(chain((header,), starmap(pack_row, rows)))
+    except struct.error as exc:
+        for index, row in enumerate(rows):  # the failure path only: find the row
+            try:
+                pack_row(*row)
+            except struct.error:
+                break
+        raise ValueError(f"row {index} of width {len(row)} does not fit "
+                         f"{len(field_names)} float fields: {exc}") from None
 
 
-def decode_events(data: bytes) -> tuple[list[str], list[list[float]]]:
+def decode_events(data: bytes) -> tuple[list[str], list[tuple[float, ...]]]:
+    """The field names and one tuple of floats per event, in field order."""
     fields, pos = decode_table(data)
     names = list(fields)
     body = len(data) - pos
@@ -37,9 +44,6 @@ def decode_events(data: bytes) -> tuple[list[str], list[list[float]]]:
         if body:
             raise CorruptContainer("events payload declares no fields but has data")
         return names, []
-    row_size = 8 * len(names)
-    if body % row_size:
+    if body % (8 * len(names)):
         raise CorruptContainer("events payload length is not a whole number of events")
-    unpack_row = struct.Struct("<" + "d" * len(names)).unpack_from
-    rows = [list(unpack_row(data, pos + i * row_size)) for i in range(body // row_size)]
-    return names, rows
+    return names, list(struct.iter_unpack("<" + "d" * len(names), memoryview(data)[pos:]))

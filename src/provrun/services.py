@@ -1,7 +1,7 @@
 """The standard service set: message logging, option application (which
 logs every assignment, lineage declarations included), the tool service,
-the event store (which is the event every algorithm is handed: one row of
-floats in schema order), and container persistency; and `Lineage`, the
+the event store (which is the event every algorithm is handed: one tuple
+of floats in schema order), and container persistency; and `Lineage`, the
 job's one record of its declared inputs and the inputs it reads."""
 
 from __future__ import annotations
@@ -141,13 +141,15 @@ class ToolSvc(Service):
 
 class EventDataSvc(Service):
     """The event moving through the algorithm chain: its `index` and its
-    `row`, one float per name of `fields` (the job's schema) in that order."""
+    `row`, a tuple of one float per name of `fields` (the job's schema) in
+    that order. A row is never changed in place: an algorithm that
+    transforms the event assigns it a new `row`, as `put` does."""
 
     def __init__(self):
         super().__init__()
         self.fields: list[str] = []
         self.index = 0
-        self.row: list[float] = []
+        self.row: tuple[float, ...] = ()
 
     def column(self, field_name: str) -> Optional[int]:
         """Position of `field_name` in the row; None if the schema lacks it."""
@@ -164,7 +166,8 @@ class EventDataSvc(Service):
         return column
 
     def put(self, field_name: str, value: float) -> None:
-        self.row[self._require(field_name)] = float(value)
+        column = self._require(field_name)
+        self.row = (*self.row[:column], float(value), *self.row[column + 1:])
 
     def get(self, field_name: str) -> float:
         return self.row[self._require(field_name)]
@@ -175,17 +178,19 @@ class ContainerWriterSvc(Service):
 
     def __init__(self):
         super().__init__()
-        self._rows: list[list[float]] = []
+        self._rows: list[tuple[float, ...]] = []
         self._extra_blocks: list[tuple[str, bytes]] = []
 
-    def add_event(self, row: list[float]) -> None:
-        self._rows.append(row)  # sources give every event a new row
+    def add_event(self, row: tuple[float, ...]) -> None:
+        self._rows.append(row)  # rows are immutable, so the reference is kept
 
     def add_block(self, name: str, payload: bytes) -> None:
         self._extra_blocks.append((name, payload))
 
     def write(self, path, fields: list[str],
               info: Optional[MetadataDictionary]) -> dict[str, int]:
-        blocks = [("events", encode_events(fields, self._rows))]
-        blocks.extend(self._extra_blocks)
-        return write_container(path, blocks, info)
+        try:
+            events = encode_events(fields, self._rows)
+        except ValueError as exc:
+            raise AlgorithmFailure(f"cannot write the kept events: {exc}") from exc
+        return write_container(path, [("events", events), *self._extra_blocks], info)

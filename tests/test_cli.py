@@ -6,6 +6,7 @@ import hashlib
 import pytest
 
 import provrun.container
+import provrun.core
 from provrun import (
     ContainerReader,
     PhaseStatus,
@@ -20,6 +21,7 @@ from provrun.cli import EXIT_ERROR, EXIT_OK, EXIT_VERIFY, main
 from provrun.errors import AlgorithmFailure
 
 from helpers import FailingFile, demo_config
+from test_core import MISFITS, misfit_catalogue, misfit_config
 
 
 def write_config(path, config):
@@ -99,6 +101,21 @@ def test_run_into_a_missing_directory_prints_no_output_line(tmp_path, capsys,
     write_config(config_path, demo_config("missing_dir/out.pdc"))
     assert main(["run", str(config_path)]) == EXIT_ERROR
     assert "output " not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("shape", sorted(MISFITS))
+def test_run_with_a_kept_row_the_schema_cannot_encode_exits_1(tmp_path, capsys,
+                                                             monkeypatch, shape):
+    monkeypatch.setattr(provrun.core, "standard_catalogue", misfit_catalogue)
+    out = tmp_path / "misfit.pdc"
+    config_path = tmp_path / "misfit.opts"
+    write_config(config_path, misfit_config(out, shape))
+    assert main(["run", str(config_path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert "finalize     failed" in captured.out
+    assert (f"error: finalize: cannot write the kept events: {MISFITS[shape][1]}"
+            in captured.err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("prop, value", [("Path", 3), ("Checksum", -1),

@@ -367,10 +367,25 @@ def test_events_codec_roundtrip():
     rnd = random.Random(3)
     for _ in range(20):
         names = [f"f{i}" for i in range(rnd.randrange(4))]
-        rows = [[rnd.random() for _ in names] for _ in range(rnd.randrange(6))]
+        rows = [tuple(rnd.random() for _ in names) for _ in range(rnd.randrange(6))]
         if not names:
             rows = []
         assert decode_events(encode_events(names, rows)) == (names, rows)
+
+
+# integers as well as floats: a decoded cell is a float whatever was encoded
+_CELL = st.one_of(st.floats(allow_nan=False), st.integers(-2**53, 2**53))
+
+
+@settings(max_examples=100)
+@given(data=st.data(), width=st.integers(0, 4))
+def test_decoded_rows_are_tuples_of_floats_equal_to_the_encoded_rows(data, width):
+    rows = data.draw(st.lists(st.tuples(*[_CELL] * width), max_size=8 if width else 0))
+    names = [f"f{i}" for i in range(width)]
+    decoded_names, decoded = decode_events(encode_events(names, rows))
+    assert (decoded_names, decoded) == (names, rows)
+    assert all(type(row) is tuple and all(type(cell) is float for cell in row)
+               for row in decoded)
 
 
 _FIELD_NAMES = st.lists(st.text(st.characters(codec="utf-8"), max_size=6), max_size=4,

@@ -24,6 +24,7 @@ from provrun.errors import (
     UnknownComponent,
     WriteFailure,
 )
+from provrun.events import decode_events
 from provrun.services import Service
 
 from helpers import demo_config, random_demo_config
@@ -282,15 +283,62 @@ def failing_catalogue():
 
 
 def test_algorithm_failure_aborts_loop_but_finalize_runs(tmp_path):
-    out = tmp_path / "fail.pdc"
+    out, whole = tmp_path / "fail.pdc", tmp_path / "whole.pdc"
     config = demo_config(out, algorithms=("RandomEventSource", "FailAfter"),
                          RandomEventSource__NumEvents=10)
     job = run_job(config, failing_catalogue())
     assert job.report.phases["execute"] is PhaseStatus.FAILED
     assert job.report.phases["finalize"] is PhaseStatus.OK
     assert job.report.events_seen == 3
-    # the partial container still exists, with provenance
+    assert job.report.events_written == 3
+    # the partial container still exists, with provenance and the rows kept
     assert extract_info(out)["RandomEventSource.NumEvents"] == "10"
+    run_job(demo_config(whole, algorithms=("RandomEventSource",),
+                        RandomEventSource__NumEvents=10))
+    assert (decode_events(read_block(out, "events"))[1]
+            == decode_events(read_block(whole, "events"))[1][:3])
+
+
+# a kept row one cell short, and one with a cell that is not a number
+MISFITS = {
+    "short": (lambda row: row[:1], "row 2 of width 1 does not fit 2 float fields"),
+    "text": (lambda row: (row[0], "x"), "row 2 of width 2 does not fit 2 float fields"),
+}
+
+
+class Misfit(Algorithm):
+    """Gives event 2 a row the schema cannot encode, of the shape `Shape` names."""
+
+    PROPERTIES = (("Shape", Kind.TEXT, "short"),)
+
+    def process(self, job, event):
+        if event.index == 2:
+            reshape, _ = MISFITS[self.value("Shape")]
+            event.row = reshape(event.row)
+        return True
+
+
+def misfit_catalogue():
+    catalogue = standard_catalogue()
+    catalogue.algorithms["Misfit"] = Misfit
+    return catalogue
+
+
+def misfit_config(out, shape):
+    return demo_config(out, algorithms=("RandomEventSource", "Misfit"), Misfit__Shape=shape,
+                       RandomEventSource__NumEvents=5, RandomEventSource__FieldCount=2)
+
+
+@pytest.mark.parametrize("shape", sorted(MISFITS))
+def test_a_kept_row_the_schema_cannot_encode_fails_finalize(tmp_path, shape):
+    out = tmp_path / "misfit.pdc"
+    job = run_job(misfit_config(out, shape), misfit_catalogue())
+    assert job.report.phases["execute"] is PhaseStatus.OK
+    assert job.report.phases["finalize"] is PhaseStatus.FAILED
+    assert isinstance(job.failure, AlgorithmFailure)
+    assert str(job.failure).startswith(f"cannot write the kept events: {MISFITS[shape][1]}")
+    assert job.report.output_path == ""
+    assert not out.exists()
 
 
 def test_initialize_failure_skips_execute(tmp_path):

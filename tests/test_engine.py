@@ -1,6 +1,6 @@
 """The per-event engine: pinned output bytes, field binding, by-name access
-to the event row, the random source against the stateful generator, and the
-replay fixpoint over random configs."""
+to the event row and transforms by assignment, the random source against
+the stateful generator, and the replay fixpoint over random configs."""
 
 import hashlib
 import os
@@ -221,7 +221,7 @@ def test_event_store_puts_and_gets_by_name(tmp_path):
     assert job.report.succeeded
     names, rows = decode_events(read_block(plain, "events"))
     assert decode_events(read_block(doubled, "events")) == (
-        names, [[row[0] * 2, row[1]] for row in rows])
+        names, [(row[0] * 2, row[1]) for row in rows])
 
 
 def test_event_store_get_of_an_unknown_name_fails_execute(tmp_path):
@@ -231,6 +231,28 @@ def test_event_store_get_of_an_unknown_name_fails_execute(tmp_path):
     assert job.report.phases["execute"] is PhaseStatus.FAILED
     assert isinstance(job.failure, AlgorithmFailure)
     assert str(job.failure) == "event 0 has no field 'ghost'"
+
+
+class AssignDoubled(Algorithm):
+    """Transforms the event as a catalogue algorithm does: it assigns a new row."""
+
+    def process(self, job, event):
+        event.row = (event.row[0] * 2, *event.row[1:])
+        return True
+
+
+def test_an_algorithm_transforms_an_event_by_assigning_a_new_row(tmp_path):
+    catalogue = standard_catalogue()
+    catalogue.algorithms["AssignDoubled"] = AssignDoubled
+    out = tmp_path / "assigned.pdc"
+    job = run_job(demo_config(out, algorithms=("RandomEventSource", "AssignDoubled"),
+                              RandomEventSource__Seed=5, RandomEventSource__NumEvents=6,
+                              RandomEventSource__FieldCount=3), catalogue)
+    assert job.report.succeeded, job.report.error
+    rng = SplitMix64(5)
+    drawn = [tuple(rng.next_double() for _ in range(3)) for _ in range(6)]
+    expected = [(row[0] * 2, *row[1:]) for row in drawn]
+    assert read_block(out, "events") == encode_events(["f0", "f1", "f2"], expected)
 
 
 # --- the random source ------------------------------------------------------------
@@ -260,14 +282,13 @@ def test_random_source_rows_equal_the_stateful_reference(tmp_path, field_count,
                               RandomEventSource__FieldCount=field_count), catalogue)
     assert job.report.succeeded, job.report.error
     rng = SplitMix64(-7)
-    expected = [[rng.next_double() for _ in range(field_count)]
+    expected = [tuple(rng.next_double() for _ in range(field_count))
                 for _ in range(num_events)]
     fields = [f"f{i}" for i in range(field_count)]
     assert read_block(out, "events") == encode_events(fields, expected)
     kept = job.algorithms[1].rows
     assert kept == expected
-    assert all(type(row) is list for row in kept)
-    assert len({id(row) for row in kept}) == num_events
+    assert all(type(row) is tuple for row in kept)
 
 
 # --- replay fixpoint ------------------------------------------------------------------
