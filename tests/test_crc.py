@@ -1,7 +1,9 @@
-"""CRC-32C: the lane path cross-checked against the slice-by-8 reference."""
+"""CRC-32C: the table loop checked against a table-free bit loop and the
+RFC 3720 vectors, and the lane path cross-checked against the table loop."""
 
 import random
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from provrun.crc import _crc32c_bytewise, crc32c
@@ -12,6 +14,51 @@ _SETTINGS = settings(max_examples=8)
 
 def _data(n: int, seed: int) -> bytes:
     return random.Random(seed).randbytes(n)
+
+
+def _crc32c_bitwise(data: bytes, crc: int = 0) -> int:
+    """One bit at a time, from the reflected polynomial alone: no tables."""
+    crc ^= 0xFFFFFFFF
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ (0x82F63B78 if crc & 1 else 0)
+    return crc ^ 0xFFFFFFFF
+
+
+# RFC 3720 (iSCSI), appendix B.4
+_RFC3720_VECTORS = [
+    (bytes(32), 0x8A9136AA),
+    (b"\xff" * 32, 0x62A8AB43),
+    (bytes(range(32)), 0x46DD794E),
+    (bytes(range(31, -1, -1)), 0x113FDB5C),
+    (b"123456789", 0xE3069283),
+]
+
+
+@pytest.mark.parametrize("data, expected", _RFC3720_VECTORS,
+                         ids=["zeros", "ones", "ascending", "descending", "check"])
+def test_published_vectors(data, expected):
+    assert _crc32c_bitwise(data) == expected
+    assert _crc32c_bytewise(data) == expected
+    assert crc32c(data) == expected
+
+
+def test_table_loop_matches_the_bit_loop_at_every_short_length():
+    data = _data(257, 13)
+    for n in range(258):
+        for crc in (0, 0xFFFFFFFF, 0x1EDC6F41):
+            expected = _crc32c_bitwise(data[:n], crc)
+            for form in (data[:n], bytearray(data[:n]),
+                         memoryview(b"\x00\x00\x00" + data[:n])[3:]):
+                assert _crc32c_bytewise(form, crc) == expected, (n, crc, type(form))
+                assert crc32c(form, crc) == expected, (n, crc, type(form))
+
+
+@settings(max_examples=20)
+@given(data=st.binary(max_size=4 * KIB), crc=st.integers(0, 0xFFFFFFFF))
+def test_table_loop_matches_the_bit_loop(data, crc):
+    assert _crc32c_bytewise(data, crc) == _crc32c_bitwise(data, crc)
 
 
 # Lengths: below, at and above the 64-lane threshold; up to a few MB, where
