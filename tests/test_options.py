@@ -1,6 +1,7 @@
 """Options language: grammar, set semantics, canonical emission."""
 
 import random
+import string
 import struct
 
 import pytest
@@ -112,6 +113,12 @@ _PARSE_ERRORS = [  # (document, message fragment, column)
     ("A.B = [1 ,2]", "expected ',' or ']'", 9),
     ("A.B = [ ]", "expected a value", 8),
     ("A.B = 1e+", "digits in exponent", 10),
+    ("= 1", "malformed key", 1),
+    ("A.B.", "malformed key", 5),
+    ("Aé.B = 1", "malformed key", 1),
+    ("A.B² = 1", "malformed key", 3),
+    ("A.B \r= 1", "expected '='", 5),
+    ("A.B.C", "expected '='", 6),
 ]
 
 
@@ -135,6 +142,11 @@ def test_parse_value_errors(bad, fragment, column):
         parse_value(bad)
     assert fragment in str(err.value)
     assert (err.value.line, err.value.column) == (1, column)
+
+
+@pytest.mark.parametrize("text", ["A.B=1", "A.B\t=\t1", " \tA.B \t= \t1 \t"])
+def test_blanks_around_the_equals_sign_are_optional(text):
+    assert parse_options(text) == OptionsSet([("A.B", 1)])
 
 
 def test_parse_error_carries_position():
@@ -324,6 +336,44 @@ def test_value_constructor_rejects_bad_values():
         OptionKey("A", "")
     with pytest.raises(InvalidOptionValue):
         OptionKey("A", "9bad")
+
+
+_IDENT_START = set(string.ascii_letters + "_")
+
+
+def _is_identifier(segment: str) -> bool:
+    """An ASCII identifier, checked character by character."""
+    return (segment[:1] in _IDENT_START
+            and all(ch in _IDENT_START or ch in string.digits for ch in segment))
+
+
+_key_text = st.lists(st.sampled_from(
+    ["A", "b", "_", "Z9", "0", "9", ".", "é", "٣", "²", "ß", " ", "-", "\n"]),
+    max_size=5).map("".join)
+
+
+@settings(max_examples=400)
+@given(component=_key_text, prop=_key_text)
+@example(component="A", prop="B.")          # a trailing dot
+@example(component="A", prop="B..C")        # an empty segment
+@example(component="A", prop="")            # one segment only
+@example(component="A.B", prop="C")         # a dot in the component
+@example(component="A", prop="B\n")         # a line break after the last segment
+@example(component="Aé", prop="B")
+@example(component="A", prop="٣")
+@example(component="A", prop="B²")
+def test_key_accepts_exactly_dotted_ascii_identifiers(component, prop):
+    segments = [component, *prop.split(".")]
+    try:
+        key = OptionKey(component, prop)
+    except InvalidOptionValue as err:
+        bad = [segment for segment in segments if not _is_identifier(segment)]
+        assert bad
+        assert str(err) == (f"key {component!r} needs at least two segments" if not prop
+                            else f"bad key segment {bad[0]!r} in {component}.{prop}")
+    else:
+        assert all(map(_is_identifier, segments))
+        assert (key.component, key.prop, key.text) == (component, prop, f"{component}.{prop}")
 
 
 def test_lists_are_homogeneous_but_integer_and_float_distinct():
