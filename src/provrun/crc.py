@@ -5,9 +5,13 @@ crc32c(b"123456789") == 0xE3069283.
 
 Two paths give the same value:
 
-- `_crc32c_bytewise`, a slice-by-8 table loop, is the reference. `crc32c`
-  uses it for inputs below 64 lanes (32 KiB) and for the last partial lane
-  of longer ones.
+- `_crc32c_bytewise`, a slice-by-8 table loop (Kounavis & Berry, ISCC
+  2005), is the reference. `crc32c` uses it for inputs below 64 lanes
+  (32 KiB) and for the last partial lane of longer ones. One
+  `struct.iter_unpack("<I4B")` record is one 8-byte step: the low four
+  bytes come as one little-endian word, xored into the register whole,
+  and the high four as the bytes that index `_T3`..`_T0`. A tail of up to
+  7 bytes runs a byte at a time.
 - Longer inputs take the lane path. The input is cut into 512-byte lanes,
   up to 2048 of them (1 MiB) per chunk. Every lane of a chunk runs from a
   zero register at once, one byte column (`chunk[j::512]`) at a time: the
@@ -52,22 +56,20 @@ def _build_tables() -> list[list[int]]:
 _T0, _T1, _T2, _T3, _T4, _T5, _T6, _T7 = _build_tables()
 
 
+_STEP = struct.Struct("<I4B")
+
+
 def _crc32c_bytewise(data: bytes, crc: int = 0) -> int:
     crc ^= 0xFFFFFFFF
     view = memoryview(data)
-    n = len(view)
-    i = 0
-    end8 = n - (n % 8)
-    while i < end8:
-        b0, b1, b2, b3, b4, b5, b6, b7 = view[i:i + 8]
-        crc ^= b0 | (b1 << 8) | (b2 << 16) | (b3 << 24)
+    end8 = len(view) - len(view) % 8
+    for low, b4, b5, b6, b7 in _STEP.iter_unpack(view[:end8]):
+        crc ^= low
         crc = (_T7[crc & 0xFF] ^ _T6[(crc >> 8) & 0xFF]
-               ^ _T5[(crc >> 16) & 0xFF] ^ _T4[(crc >> 24) & 0xFF]
+               ^ _T5[(crc >> 16) & 0xFF] ^ _T4[crc >> 24]
                ^ _T3[b4] ^ _T2[b5] ^ _T1[b6] ^ _T0[b7])
-        i += 8
-    while i < n:
-        crc = _T0[(crc ^ view[i]) & 0xFF] ^ (crc >> 8)
-        i += 1
+    for byte in view[end8:]:
+        crc = _T0[(crc ^ byte) & 0xFF] ^ (crc >> 8)
     return crc ^ 0xFFFFFFFF
 
 
