@@ -11,8 +11,13 @@ of any set reproduces the set; re-emitting is a byte fixpoint.
 
 Tokens, one compiled pattern each (``[0-9]`` is ASCII only):
 
-- blank: ``[ \t]*``, around ``=`` and after a list's ``,``
-- key: ``\w*(?:\.\w*)*`` with two or more ``[A-Za-z_][A-Za-z0-9_]*`` segments
+- line head: one match takes a blank line, a ``#`` comment, or an
+  assignment's blank, key, blank, ``=`` and blank up to its value. A key
+  is two or more ``[A-Za-z_][A-Za-z0-9_]*`` segments joined by ``.``. A
+  line whose head does not match is scanned again, token by token, for
+  the error and its column: blank ``[ \t]*``, then key ``\w*(?:\.\w*)*``
+  with its segments checked one by one
+- blank: ``[ \t]*``, after a value and after a list's ``,``
 - word: ``\w*`` that starts with a letter; only ``true`` and ``false`` are values
 - number: ``-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?`` without leading zeros
 - string: ``"`` then any character but ``"``, ``\``, a control (tab aside) or
@@ -38,7 +43,9 @@ from .errors import InvalidOptionValue, OptionsSyntaxError
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_IDENT = "[A-Za-z_][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(_IDENT + r"\Z")
+_PROPERTY_RE = re.compile(rf"{_IDENT}(?:\.{_IDENT})*\Z")
 
 
 class Kind(Enum):
@@ -111,6 +118,14 @@ class OptionValue:
         raise AttributeError("OptionValue is immutable")
 
     @classmethod
+    def _checked(cls, kind: Kind, value) -> "OptionValue":
+        """A value of `kind` that the caller has already checked."""
+        item = object.__new__(cls)
+        object.__setattr__(item, "kind", kind)
+        object.__setattr__(item, "value", value)
+        return item
+
+    @classmethod
     def of(cls, value) -> "OptionValue":
         """Wrap a plain Python value, inferring the kind."""
         if isinstance(value, OptionValue):
@@ -179,33 +194,63 @@ class KindSpec:
         return self.kind.value
 
 
-@dataclass(frozen=True)
 class OptionKey:
-    """Dotted key: the first segment names a component, the rest a property."""
+    """Dotted key: the first segment names a component, the rest a property.
 
-    component: str
-    prop: str
+    Immutable. `text` is the full dotted key; equality and hashing are
+    those of `text`, which a dot-free component makes the same as those of
+    (component, prop).
+    """
 
-    def __post_init__(self):
-        segments = [self.component, *self.prop.split(".")]
-        if not self.prop:
-            raise InvalidOptionValue(f"key {self.component!r} needs at least two segments")
-        for segment in segments:
-            if not _IDENT_RE.match(segment):
-                raise InvalidOptionValue(
-                    f"bad key segment {segment!r} in {self.component}.{self.prop}")
+    __slots__ = ("component", "prop", "text")
+
+    def __new__(cls, component: str, prop: str):
+        if not (_IDENT_RE.match(component) and _PROPERTY_RE.match(prop)):
+            raise InvalidOptionValue(_key_problem(component, prop))
+        return cls._checked(component, prop)
+
+    @classmethod
+    def _checked(cls, component: str, prop: str) -> "OptionKey":
+        """A key from segments the caller has already checked."""
+        key = object.__new__(cls)
+        object.__setattr__(key, "component", component)
+        object.__setattr__(key, "prop", prop)
+        object.__setattr__(key, "text", f"{component}.{prop}")
+        return key
+
+    def __setattr__(self, name, _value):
+        raise AttributeError("OptionKey is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild the key through __new__
+        return OptionKey, (self.component, self.prop)
 
     @classmethod
     def parse(cls, text: str) -> "OptionKey":
         component, _, prop = text.partition(".")
         return cls(component, prop)
 
-    @property
-    def text(self) -> str:
-        return f"{self.component}.{self.prop}"
+    def __eq__(self, other):
+        if not isinstance(other, OptionKey):
+            return NotImplemented
+        return self.text == other.text
+
+    def __hash__(self):
+        return hash(self.text)
+
+    def __repr__(self):
+        return f"OptionKey(component={self.component!r}, prop={self.prop!r})"
 
     def __str__(self):
         return self.text
+
+
+def _key_problem(component: str, prop: str) -> str:
+    """Why (component, prop) is not a key: the first bad segment, by name."""
+    if not prop:
+        return f"key {component!r} needs at least two segments"
+    bad = next(segment for segment in (component, *prop.split("."))
+               if not _IDENT_RE.match(segment))
+    return f"bad key segment {bad!r} in {component}.{prop}"
 
 
 KeyLike = Union[OptionKey, str]
@@ -268,6 +313,8 @@ class OptionsSet:
 # --- parsing ----------------------------------------------------------------
 
 _BLANK_RE = re.compile(r"[ \t]*")
+# A blank line, a comment, or an assignment's head up to its value.
+_HEAD_RE = re.compile(rf"[ \t]*(?:({_IDENT})\.({_IDENT}(?:\.{_IDENT})*)[ \t]*=[ \t]*|#|\Z)")
 _KEY_RE = re.compile(r"\w*(?:\.\w*)*")
 _WORD_RE = re.compile(r"\w*")
 # Empty digit groups match so that the scanner can name the missing digits.
@@ -291,18 +338,21 @@ class _ScanError(Exception):
     """Syntax error inside one line; args are (message, 0-based offset)."""
 
 
-def _scan_key(text: str, pos: int) -> tuple[OptionKey, int]:
-    end = _KEY_RE.match(text, pos).end()
-    try:
-        return OptionKey.parse(text[pos:end]), end  # the key checks its segments
-    except InvalidOptionValue:
-        pass  # find the column of the first bad segment
+def _head_error(line: str) -> _ScanError:
+    """The error in the head of a line that `_HEAD_RE` does not match."""
+    pos = _BLANK_RE.match(line).end()
+    if line[pos] == "\r":
+        return _ScanError(_CR_MESSAGE, pos)
+    end = _KEY_RE.match(line, pos).end()
+    segments = line[pos:end].split(".")
     seg_start = pos
-    for segment in text[pos:end].split("."):
+    for segment in segments:
         if not _IDENT_RE.match(segment):
-            raise _ScanError("malformed key", seg_start)
+            return _ScanError("malformed key", seg_start)
         seg_start += len(segment) + 1
-    raise _ScanError("malformed key: need Component.Property", pos)
+    if len(segments) < 2:
+        return _ScanError("malformed key: need Component.Property", pos)
+    return _ScanError("expected '=' after key", _BLANK_RE.match(line, end).end())
 
 
 def _scan_value(text: str, pos: int, in_list: bool = False) -> tuple[OptionValue, int]:
@@ -338,7 +388,7 @@ def _scan_string(text: str, pos: int) -> tuple[OptionValue, int]:
     body = match.group(1)
     if "\\" in body:
         body = _ESCAPE_RE.sub(_unescape, body)
-    return OptionValue(Kind.TEXT, body), match.end()
+    return OptionValue._checked(Kind.TEXT, body), match.end()
 
 
 def _string_error(text: str, start: int, pos: int) -> _ScanError:
@@ -373,7 +423,7 @@ def _string_error(text: str, start: int, pos: int) -> _ScanError:
 def _scan_list(text: str, pos: int) -> tuple[OptionValue, int]:
     pos += 1
     if text.startswith("]", pos):
-        return OptionValue(Kind.LIST, ()), pos + 1
+        return OptionValue._checked(Kind.LIST, ()), pos + 1
     items: list[OptionValue] = []
     while True:
         item, end = _scan_value(text, pos, in_list=True)
@@ -382,7 +432,7 @@ def _scan_list(text: str, pos: int) -> tuple[OptionValue, int]:
                              f"then {item.kind.value}", pos)
         items.append(item)
         if text.startswith("]", end):
-            return OptionValue(Kind.LIST, tuple(items)), end + 1
+            return OptionValue._checked(Kind.LIST, tuple(items)), end + 1
         if not text.startswith(",", end):
             raise _ScanError("expected ',' or ']' in list", end)
         pos = _BLANK_RE.match(text, end + 1).end()
@@ -402,37 +452,36 @@ def _scan_number(text: str, pos: int) -> tuple[OptionValue, int]:
     token = match.group()
     if frac_digits is None and exp_digits is None:
         # 19 digits bound int64 and keep int() under its digit limit
-        if len(int_digits) > 19 or not INT64_MIN <= int(token) <= INT64_MAX:
+        if len(int_digits) > 19 or not INT64_MIN <= (value := int(token)) <= INT64_MAX:
             raise _ScanError(f"integer {token} outside the 64-bit signed range", pos)
-        return OptionValue(Kind.INTEGER, int(token)), match.end()
+        return OptionValue._checked(Kind.INTEGER, value), match.end()
     value = float(token)
     if not math.isfinite(value):
         raise _ScanError(f"float literal {token!r} is not a finite double", pos)
-    return OptionValue(Kind.FLOAT, value), match.end()
+    return OptionValue._checked(Kind.FLOAT, value), match.end()
 
 
 def parse_options(text: str) -> OptionsSet:
     """Parse a document; later assignments to a key override earlier ones."""
     out = OptionsSet()
+    entries = out._entries
     for line_no, line in enumerate(text.split("\n"), start=1):
+        head = _HEAD_RE.match(line)
         try:
-            pos = _BLANK_RE.match(line).end()
-            if pos == len(line) or line[pos] == "#":
-                continue
-            if line[pos] == "\r":
-                raise _ScanError(_CR_MESSAGE, pos)
-            key, pos = _scan_key(line, pos)
-            pos = _BLANK_RE.match(line, pos).end()
-            if not line.startswith("=", pos):
-                raise _ScanError("expected '=' after key", pos)
-            value, pos = _scan_value(line, _BLANK_RE.match(line, pos + 1).end())
-            pos = _BLANK_RE.match(line, pos).end()
+            if head is None:
+                raise _head_error(line)
+            component, prop = head.groups()
+            if component is None:
+                continue  # blank or comment
+            value, pos = _scan_value(line, head.end())
             if pos < len(line):
-                raise _ScanError(_CR_MESSAGE if line[pos] == "\r"
-                                 else "unexpected text after value", pos)
+                pos = _BLANK_RE.match(line, pos).end()
+                if pos < len(line):
+                    raise _ScanError(_CR_MESSAGE if line[pos] == "\r"
+                                     else "unexpected text after value", pos)
         except _ScanError as exc:
             raise OptionsSyntaxError(exc.args[0], line_no, exc.args[1] + 1) from None
-        out.set(key, value)
+        entries[OptionKey._checked(component, prop)] = value
     return out
 
 
