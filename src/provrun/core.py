@@ -24,6 +24,7 @@ from . import algorithms as demo_algorithms
 from .algorithms import Algorithm, DemoTool, EventSource
 from .components import Component, LIST_OF_TEXT
 from .errors import (
+    AlgorithmFailure,
     DuplicateComponent,
     InvalidConfiguration,
     ProvrunError,
@@ -122,7 +123,7 @@ class Job:
         self.algorithms: list[Algorithm] = []
         self.lineage = Lineage()
         self.report = JobReport()
-        self.failure: Optional[BaseException] = None
+        self.failure: Optional[ProvrunError] = None
 
     # --- wiring ---------------------------------------------------------
 
@@ -201,12 +202,18 @@ class Job:
 
     @contextlib.contextmanager
     def _phase(self, name: str) -> Iterator[None]:
-        """Run one phase's body and set its status: a ProvrunError fails the
+        """Run one phase's body and set its status: an exception fails the
         phase, and the job's first failure is kept in `failure` and
-        `report.error`."""
+        `report.error`. An exception that is not a ProvrunError is a bug in
+        a component; it becomes an AlgorithmFailure naming its type, with
+        the original as its cause."""
         try:
             yield
-        except ProvrunError as exc:
+        except Exception as exc:
+            if not isinstance(exc, ProvrunError):
+                failure = AlgorithmFailure(f"{type(exc).__name__}: {exc}")
+                failure.__cause__ = exc
+                exc = failure
             if self.failure is None:
                 self.failure = exc
                 self.report.error = f"{name}: {exc}"

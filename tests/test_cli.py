@@ -21,7 +21,7 @@ from provrun.cli import EXIT_ERROR, EXIT_OK, EXIT_VERIFY, main
 from provrun.errors import AlgorithmFailure
 
 from helpers import FailingFile, demo_config
-from test_core import MISFITS, misfit_catalogue, misfit_config
+from test_core import BUGS, MISFITS, buggy_catalogue, buggy_config, misfit_catalogue, misfit_config
 
 
 def write_config(path, config):
@@ -116,6 +116,20 @@ def test_run_with_a_kept_row_the_schema_cannot_encode_exits_1(tmp_path, capsys,
     assert (f"error: finalize: cannot write the kept events: {MISFITS[shape][1]}"
             in captured.err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bug", sorted(BUGS))
+def test_run_with_an_algorithm_bug_exits_1_with_one_error_line(tmp_path, capsys,
+                                                               monkeypatch, bug):
+    monkeypatch.setattr(provrun.core, "standard_catalogue", buggy_catalogue)
+    phase, _, message = BUGS[bug]
+    config_path = tmp_path / "buggy.opts"
+    write_config(config_path, buggy_config(tmp_path / "buggy.pdc", bug))
+    assert main(["run", str(config_path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert f"{phase:<12} failed" in captured.out
+    assert captured.err.endswith(f"\nerror: {phase}: {message}\n")
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("prop, value", [("Path", 3), ("Checksum", -1),

@@ -341,6 +341,67 @@ def test_a_kept_row_the_schema_cannot_encode_fails_finalize(tmp_path, shape):
     assert not out.exists()
 
 
+# algorithm bugs that raise no ProvrunError: the phase each fails, and its error
+BUGS = {
+    "none_row": ("finalize", "TypeError", "TypeError: 'NoneType' object is not iterable"),
+    "index": ("execute", "IndexError", "IndexError: tuple index out of range"),
+}
+
+
+class Buggy(Algorithm):
+    """At event 2, keeps a None row or reads a cell past the row's end, as
+    `Bug` says; "interrupt" raises KeyboardInterrupt instead."""
+
+    PROPERTIES = (("Bug", Kind.TEXT, "none_row"),)
+
+    def process(self, job, event):
+        if event.index == 2:
+            bug = self.value("Bug")
+            if bug == "interrupt":
+                raise KeyboardInterrupt
+            if bug == "index":
+                return event.row[99] > 0
+            event.row = None
+        return True
+
+
+def buggy_catalogue():
+    catalogue = standard_catalogue()
+    catalogue.algorithms["Buggy"] = Buggy
+    return catalogue
+
+
+def buggy_config(out, bug):
+    return demo_config(out, algorithms=("RandomEventSource", "Buggy"), Buggy__Bug=bug,
+                       RandomEventSource__NumEvents=5, RandomEventSource__FieldCount=2)
+
+
+@pytest.mark.parametrize("bug", sorted(BUGS))
+def test_an_algorithm_bug_fails_its_phase_and_finalize_still_runs(tmp_path, bug):
+    phase, cause, message = BUGS[bug]
+    out = tmp_path / "buggy.pdc"
+    job = run_job(buggy_config(out, bug), buggy_catalogue())
+    assert job.report.phases["initialize"] is PhaseStatus.OK
+    assert job.report.phases[phase] is PhaseStatus.FAILED
+    assert "finalize" in job.report.phases
+    assert isinstance(job.failure, AlgorithmFailure)
+    assert type(job.failure.__cause__).__name__ == cause
+    assert str(job.failure) == message
+    assert job.report.error == f"{phase}: {message}"
+    assert job.report.events_seen == (2 if phase == "execute" else 5)
+    # a failed finalize writes nothing; a failed execute keeps the rows before the bug
+    assert out.exists() is (phase == "execute")
+
+
+def test_an_interrupt_is_not_a_phase_failure(tmp_path):
+    job = build_job(buggy_config(tmp_path / "buggy.pdc", "interrupt"), buggy_catalogue())
+    assert job.initialize() is PhaseStatus.OK
+    with pytest.raises(KeyboardInterrupt):
+        job.execute()
+    assert "execute" not in job.report.phases
+    assert job.failure is None
+
+
 def test_initialize_failure_skips_execute(tmp_path):
     config = demo_config(tmp_path / "x.pdc", ThresholdFilter__Min="bad")
     job = run_job(config)
