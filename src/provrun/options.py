@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping, Optional, Union
 
@@ -194,20 +194,24 @@ class KindSpec:
         return self.kind.value
 
 
+@dataclass(frozen=True, slots=True)
 class OptionKey:
-    """Dotted key: the first segment names a component, the rest a property.
+    """Dotted key: the first segment names a component, the rest a property;
+    `text` is the whole dotted key."""
 
-    Immutable. `text` is the full dotted key; equality and hashing are
-    those of `text`, which a dot-free component makes the same as those of
-    (component, prop).
-    """
+    component: str
+    prop: str
+    text: str = field(init=False, repr=False, compare=False)
 
-    __slots__ = ("component", "prop", "text")
-
-    def __new__(cls, component: str, prop: str):
+    def __post_init__(self):
+        component, prop = self.component, self.prop
         if not (_IDENT_RE.match(component) and _PROPERTY_RE.match(prop)):
-            raise InvalidOptionValue(_key_problem(component, prop))
-        return cls._checked(component, prop)
+            if not prop:
+                raise InvalidOptionValue(f"key {component!r} needs at least two segments")
+            bad = next(segment for segment in (component, *prop.split("."))
+                       if not _IDENT_RE.match(segment))  # name the first bad one
+            raise InvalidOptionValue(f"bad key segment {bad!r} in {component}.{prop}")
+        object.__setattr__(self, "text", f"{component}.{prop}")
 
     @classmethod
     def _checked(cls, component: str, prop: str) -> "OptionKey":
@@ -218,39 +222,13 @@ class OptionKey:
         object.__setattr__(key, "text", f"{component}.{prop}")
         return key
 
-    def __setattr__(self, name, _value):
-        raise AttributeError("OptionKey is immutable")
-
-    def __reduce__(self):  # copy and pickle rebuild the key through __new__
-        return OptionKey, (self.component, self.prop)
-
     @classmethod
     def parse(cls, text: str) -> "OptionKey":
         component, _, prop = text.partition(".")
         return cls(component, prop)
 
-    def __eq__(self, other):
-        if not isinstance(other, OptionKey):
-            return NotImplemented
-        return self.text == other.text
-
-    def __hash__(self):
-        return hash(self.text)
-
-    def __repr__(self):
-        return f"OptionKey(component={self.component!r}, prop={self.prop!r})"
-
     def __str__(self):
         return self.text
-
-
-def _key_problem(component: str, prop: str) -> str:
-    """Why (component, prop) is not a key: the first bad segment, by name."""
-    if not prop:
-        return f"key {component!r} needs at least two segments"
-    bad = next(segment for segment in (component, *prop.split("."))
-               if not _IDENT_RE.match(segment))
-    return f"bad key segment {bad!r} in {component}.{prop}"
 
 
 KeyLike = Union[OptionKey, str]
