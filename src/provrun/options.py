@@ -120,9 +120,9 @@ class OptionValue:
     @classmethod
     def _checked(cls, kind: Kind, value) -> "OptionValue":
         """A value of `kind` that the caller has already checked."""
-        item = object.__new__(cls)
-        object.__setattr__(item, "kind", kind)
-        object.__setattr__(item, "value", value)
+        item = _new(cls)
+        _set_kind(item, kind)
+        _set_value(item, value)
         return item
 
     @classmethod
@@ -216,10 +216,10 @@ class OptionKey:
     @classmethod
     def _checked(cls, component: str, prop: str) -> "OptionKey":
         """A key from segments the caller has already checked."""
-        key = object.__new__(cls)
-        object.__setattr__(key, "component", component)
-        object.__setattr__(key, "prop", prop)
-        object.__setattr__(key, "text", f"{component}.{prop}")
+        key = _new(cls)
+        _set_component(key, component)
+        _set_prop(key, prop)
+        _set_text(key, f"{component}.{prop}")
         return key
 
     @classmethod
@@ -230,6 +230,13 @@ class OptionKey:
     def __str__(self):
         return self.text
 
+
+# The slots' own setters: `_checked` fills a new instance through them,
+# past the immutability guards and without a `__setattr__` lookup.
+_new = object.__new__
+_set_kind, _set_value = OptionValue.kind.__set__, OptionValue.value.__set__
+_set_component, _set_prop, _set_text = (
+    OptionKey.component.__set__, OptionKey.prop.__set__, OptionKey.text.__set__)
 
 KeyLike = Union[OptionKey, str]
 
@@ -361,9 +368,9 @@ def _unescape(match: re.Match) -> str:
 
 def _scan_string(text: str, pos: int) -> tuple[OptionValue, int]:
     match = _STRING_RE.match(text, pos)
-    if match.group(2) is None:
+    body, closed = match.groups()
+    if closed is None:
         raise _string_error(text, pos, match.end())
-    body = match.group(1)
     if "\\" in body:
         body = _ESCAPE_RE.sub(_unescape, body)
     return OptionValue._checked(Kind.TEXT, body), match.end()
