@@ -10,6 +10,7 @@ from provrun import (
     PhaseStatus,
     build_job,
     extract_info,
+    parse_options,
     read_block,
     run_job,
     standard_catalogue,
@@ -400,6 +401,71 @@ def test_an_interrupt_is_not_a_phase_failure(tmp_path):
         job.execute()
     assert "execute" not in job.report.phases
     assert job.failure is None
+
+
+# --- the execute contract: what a per-event algorithm sees -------------------------
+
+class Peek(Algorithm):
+    """Records the index and row of every event that reaches it."""
+
+    def start(self, job):
+        self.seen = []
+
+    def process(self, job, event):
+        self.seen.append((event.index, event.row))
+        return True
+
+
+class StopAt(Algorithm):
+    """Raises a bare StopIteration at event 2, as a stray `next()` would."""
+
+    def process(self, job, event):
+        if event.index == 2:
+            raise StopIteration
+        return True
+
+
+def contract_catalogue():
+    catalogue = failing_catalogue()
+    catalogue.algorithms.update(Peek=Peek, StopAt=StopAt)
+    return catalogue
+
+
+def test_an_algorithm_after_a_filter_sees_only_the_passed_events(tmp_path):
+    whole = tmp_path / "whole.pdc"
+    run_job(demo_config(whole, algorithms=("RandomEventSource",)))
+    _, rows = decode_events(read_block(whole, "events"))
+    job = run_job(demo_config(tmp_path / "peek.pdc",
+                              algorithms=("RandomEventSource", "ThresholdFilter", "Peek"),
+                              ThresholdFilter__Min=0.5), contract_catalogue())
+    assert job.report.succeeded, job.report.error
+    seen = job.algorithms[2].seen
+    assert [index for index, _ in seen] == [0, 3, 7, 9]
+    assert seen == [(index, rows[index]) for index in (0, 3, 7, 9)]
+    assert (job.report.events_seen, job.report.events_written) == (10, 4)
+
+
+def test_a_later_failure_leaves_the_event_in_flight_in_the_summary(tmp_path):
+    out = tmp_path / "partial.pdc"
+    job = run_job(demo_config(out, algorithms=("RandomEventSource", "Accumulator",
+                                               "FailAfter")), contract_catalogue())
+    assert job.report.phases["execute"] is PhaseStatus.FAILED
+    assert job.report.phases["finalize"] is PhaseStatus.OK
+    assert (job.report.events_seen, job.report.events_written) == (3, 3)
+    summary = parse_options(read_block(out, "summary").decode("utf-8"))
+    assert summary["Accumulator.Count"].value == 4
+
+
+def test_a_stop_iteration_from_process_fails_the_event(tmp_path):
+    job = run_job(demo_config(tmp_path / "stop.pdc",
+                              algorithms=("RandomEventSource", "StopAt")),
+                  contract_catalogue())
+    assert job.report.phases["execute"] is PhaseStatus.FAILED
+    assert isinstance(job.failure, AlgorithmFailure)
+    assert str(job.failure) == "StopIteration: "
+    assert type(job.failure.__cause__) is StopIteration
+    assert job.report.events_seen == 2
+    assert job.report.events_written == 2
 
 
 def test_initialize_failure_skips_execute(tmp_path):
