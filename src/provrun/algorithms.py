@@ -4,9 +4,15 @@ Deliberately small and fully deterministic: a pseudo-random source, a
 file-backed source (which is what gives jobs input lineage), a threshold
 filter that can veto events, and an accumulating sink. Together they
 exercise the source/filter/sink roles the provenance capture has to cover.
-A source names the schema (`fields`) and assigns each event's `row`; the
+A source names the schema (`fields`) and makes each event's `row`; the
 others resolve their columns and properties once, in `bind`, and a field
 the schema lacks fails only the first event that reaches its reader.
+
+Each algorithm is a stage of the event loop: `stream` takes the rows that
+reach it and yields those that pass, one at a time and in order. Its
+default hands each row to `process` as `event.row`, so an algorithm may
+define either. The four demo algorithms define both: `stream` is the
+loop the job runs, and `process` is the per-event reference it must equal.
 """
 
 from __future__ import annotations
@@ -27,22 +33,52 @@ class Algorithm(Component):
         pass
 
     def bind(self, event) -> None:
-        """Resolve what `process` reads, once per job, after the schema is set."""
+        """Resolve what `stream` or `process` reads, once per job, after the
+        schema is set."""
 
     def process(self, job, event) -> bool:
         """Handle one event; returning False vetoes it for the rest of the chain."""
         return True
+
+    def stream(self, job, event, rows):
+        """Yield the `rows` that pass, in order, taking each only after the
+        one before it has left the chain. By default each row is handed to
+        `process` as `event.row`, and the `event.row` it leaves is passed on."""
+        process = self.process
+        for row in rows:
+            event.row = row
+            try:
+                passed = process(job, event)
+            except StopIteration as exc:  # a generator would turn it into a RuntimeError
+                raise AlgorithmFailure(f"{type(exc).__name__}: {exc}") from exc
+            if passed:
+                yield event.row
 
     def finish(self, job) -> None:
         pass
 
 
 class EventSource(Algorithm):
-    """Produces the event stream (first in the chain); `plan` sets `fields`."""
+    """Produces the event stream (first in the chain); `plan` sets `fields`.
+    Its stream is handed one empty row per planned event, yields each
+    event's row in its place and numbers the events: `event.index` is set
+    as each event enters the chain. The demo sources hand out the rows they
+    planned, once."""
 
     def plan(self, job) -> int:
         """Number of events this run will produce; called once per job."""
         raise NotImplementedError
+
+    def stream(self, job, event, rows):
+        """By default `process` makes each event's row, from an empty one,
+        with `event.index` already set."""
+        return super().stream(job, event, _numbered(event, rows))
+
+
+def _numbered(event, rows):
+    """`rows`, setting `event.index` to each one's position as it is taken."""
+    for event.index, row in enumerate(rows):
+        yield row
 
 
 class RandomEventSource(EventSource):
@@ -61,13 +97,16 @@ class RandomEventSource(EventSource):
         field_count = self.value("FieldCount")
         if count < 0 or field_count < 0:
             raise AlgorithmFailure("NumEvents and FieldCount must be non-negative")
-        self._next_row = _random_rows(self.value("Seed"), count, field_count).__next__
+        self._rows = _random_rows(self.value("Seed"), count, field_count)
         self.fields = [f"f{i}" for i in range(field_count)]
         return count
 
     def process(self, job, event) -> bool:
-        event.row = self._next_row()
+        event.row = next(self._rows)
         return True
+
+    def stream(self, job, event, rows):
+        return _numbered(event, self._rows)
 
 
 def _random_rows(seed: int, count: int, width: int):
@@ -117,6 +156,9 @@ class FileEventSource(EventSource):
         event.row = self._rows[event.index]
         return True
 
+    def stream(self, job, event, rows):
+        return _numbered(event, self._rows)
+
 
 class ThresholdFilter(Algorithm):
     """Vetoes every event whose field is below Min."""
@@ -135,6 +177,15 @@ class ThresholdFilter(Algorithm):
         if self._column is None:
             raise event.missing_field(self._field)
         return event.row[self._column] >= self._min
+
+    def stream(self, job, event, rows):
+        column, minimum = self._column, self._min
+        if column is None:
+            for _ in rows:
+                raise event.missing_field(self._field)
+        for row in rows:
+            if row[column] >= minimum:
+                yield row
 
 
 class Accumulator(Algorithm):
@@ -155,6 +206,18 @@ class Accumulator(Algorithm):
         self._sum += event.row[self._column]
         self._count += 1
         return True
+
+    def stream(self, job, event, rows):
+        # the totals move per row, so a later stage's failure leaves them
+        # counting the event in flight
+        column = self._column
+        if column is None:
+            for _ in rows:
+                raise event.missing_field(self._field)
+        for row in rows:
+            self._sum += row[column]
+            self._count += 1
+            yield row
 
     def finish(self, job) -> None:
         summary = OptionsSet()

@@ -11,6 +11,11 @@ reaches what is captured, and replay finds it under the same name.
 Phase contract: initialize precedes execute precedes finalize, and finalize
 runs exactly once per job no matter how execute ends. Two runs of the same
 config produce byte-identical output containers.
+
+Execute chains the algorithms' `stream` stages, source first, and extends
+the writer's kept rows from the last one. The stages are lazy, so one event
+at a time is in flight: it has left the chain, kept or vetoed, before the
+source makes the next, and a stage that raises fails execute at that event.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Iterator, Optional
 
 from . import algorithms as demo_algorithms
@@ -247,22 +253,19 @@ class Job:
                 event.fields = list(source.fields)
             for alg in self.algorithms:
                 alg.bind(event)
-            processes = [alg.process for alg in self.algorithms]
-            add_event = self.writer.add_event
-            seen = written = 0
+            rows = repeat((), planned)  # the source makes each event's row
+            for alg in self.algorithms:
+                rows = alg.stream(self, event, rows)
+            kept = self.writer.rows
+            written = len(kept)
             try:
-                for index in range(planned):
-                    event.index = index
-                    for process in processes:
-                        if not process(self, event):
-                            break
-                    else:
-                        written += 1
-                        add_event(event.row)
-                    seen += 1
+                kept.extend(rows)  # draws the events through every stage, one at a time
+            except BaseException:
+                planned = event.index  # the event in flight is not seen
+                raise
             finally:  # exact counts even when an algorithm raises
-                self.report.events_seen += seen
-                self.report.events_written += written
+                self.report.events_seen += planned
+                self.report.events_written += len(kept) - written
             self.msg.log(LEVEL_INFO, "ApplicationMgr",
                          f"processed {self.report.events_seen} event(s), "
                          f"kept {self.report.events_written}")

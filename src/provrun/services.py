@@ -140,9 +140,11 @@ class ToolSvc(Service):
 
 
 class EventDataSvc(Service):
-    """The event moving through the algorithm chain: its `index` and its
-    `row`, a tuple of one float per name of `fields` (the job's schema) in
-    that order. A row is never changed in place: an algorithm that
+    """The event moving through the algorithm chain: its `index`, set by the
+    source as the event enters the chain, and its `row`, a tuple of one
+    float per name of `fields` (the job's schema) in that order. `row` is
+    set for each `process` call; a stage that overrides `stream` is handed
+    the rows instead. A row is never changed in place: an algorithm that
     transforms the event assigns it a new `row`, as `put` does."""
 
     def __init__(self):
@@ -174,15 +176,13 @@ class EventDataSvc(Service):
 
 
 class ContainerWriterSvc(Service):
-    """Buffers surviving events and extra blocks, then writes the container."""
+    """Holds the kept rows, which execute extends, and the extra blocks,
+    then writes the container."""
 
     def __init__(self):
         super().__init__()
-        self._rows: list[tuple[float, ...]] = []
+        self.rows: list[tuple[float, ...]] = []  # rows are immutable: kept by reference
         self._extra_blocks: list[tuple[str, bytes]] = []
-
-    def add_event(self, row: tuple[float, ...]) -> None:
-        self._rows.append(row)  # rows are immutable, so the reference is kept
 
     def add_block(self, name: str, payload: bytes) -> None:
         self._extra_blocks.append((name, payload))
@@ -190,7 +190,7 @@ class ContainerWriterSvc(Service):
     def write(self, path, fields: list[str],
               info: Optional[MetadataDictionary]) -> dict[str, int]:
         try:
-            events = encode_events(fields, self._rows)
+            events = encode_events(fields, self.rows)
         except ValueError as exc:
             raise AlgorithmFailure(f"cannot write the kept events: {exc}") from exc
         return write_container(path, [("events", events), *self._extra_blocks], info)

@@ -1,6 +1,7 @@
 """The per-event engine: pinned output bytes, field binding, by-name access
 to the event row and transforms by assignment, the random source against
-the stateful generator, and the replay fixpoint over random configs."""
+the stateful generator, the replay fixpoint over random configs, and each
+demo algorithm's stage against its per-event `process`."""
 
 import hashlib
 import os
@@ -9,10 +10,10 @@ import struct
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from provrun import PhaseStatus, extract_info, read_block, run_job, standard_catalogue
-from provrun.algorithms import Algorithm
+from provrun.algorithms import Algorithm, EventSource
 from provrun.cli import EXIT_OK, main
 from provrun.container import INFO_BLOCK, ContainerReader, write_container
 from provrun.errors import AlgorithmFailure
@@ -311,3 +312,113 @@ def test_replay_is_a_fixpoint_of_random_configs(seed):
         assert _non_info_crcs(replayed) == _non_info_crcs(original)
         assert (extract_info(replayed).without("ApplicationMgr.OutputFile")
                 == extract_info(original).without("ApplicationMgr.OutputFile"))
+
+
+# --- the stages against their per-event reference ---------------------------------
+
+def per_event_catalogue():
+    """The demo catalogue with every algorithm's stream its base class's default,
+    so each event goes through the algorithm's `process`."""
+    catalogue = standard_catalogue()
+    for name, cls in catalogue.algorithms.items():
+        base = EventSource if issubclass(cls, EventSource) else Algorithm
+        catalogue.algorithms[name] = type(name, (cls,), {"stream": base.stream})
+    return catalogue
+
+
+def _run_and_read(config, catalogue, out):
+    """What a run shows from outside: the container's bytes, the counts, the
+    phases and the error text."""
+    job = run_job(config, catalogue)
+    report = job.report
+    data = None
+    if os.path.exists(out):
+        with open(out, "rb") as handle:
+            data = handle.read()
+        os.remove(out)
+    return (data, report.events_seen, report.events_written, report.phases,
+            report.error, report.output_path, report.payload_checksum)
+
+
+def _fields(field_count):
+    """A field of the schema two times in three, else one it lacks."""
+    present = (st.integers(0, field_count - 1).map("f{}".format) if field_count
+               else st.nothing())
+    return st.one_of(present, present, st.sampled_from([f"f{field_count}", "ghost"]))
+
+
+# a plain integers(0, 5000) draws mostly tiny counts; most jobs here need rows
+_NUM_EVENTS = st.one_of(st.integers(1, 60), st.integers(2000, 5000), st.integers(0, 5000))
+
+
+@st.composite
+def _stage_configs(draw, out, source, field_count):
+    """A source, then ThresholdFilter and Accumulator in some order, or neither."""
+    later = draw(st.permutations(["ThresholdFilter", "Accumulator"]))
+    later = later[:draw(st.integers(0, 2))]
+    config = demo_config(out, algorithms=(source, *later))
+    if "ThresholdFilter" in later:
+        config.set("ThresholdFilter.Field", draw(_fields(field_count)))
+        config.set("ThresholdFilter.Min", draw(st.floats(-0.2, 1.2)))
+    if "Accumulator" in later:
+        config.set("Accumulator.Field", draw(_fields(field_count)))
+    return config
+
+
+def _random_source(config, seed, num_events, field_count):
+    config.set("RandomEventSource.Seed", seed)
+    config.set("RandomEventSource.NumEvents", num_events)
+    config.set("RandomEventSource.FieldCount", field_count)
+    return config
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(-2**63, 2**63 - 1), num_events=_NUM_EVENTS,
+       field_count=st.integers(0, 5), data=st.data())
+@example(seed=3, num_events=5000, field_count=1, data=None)
+@example(seed=4, num_events=4097, field_count=3, data=None)
+def test_the_stages_equal_their_per_event_reference(seed, num_events, field_count, data):
+    # 2048 lanes of draws make a chunk, so 5000 one-field events cross two
+    # chunk boundaries; an explicit example runs the full chain
+    with tempfile.TemporaryDirectory() as work:
+        out = os.path.join(work, "out.pdc")
+        if data is None:
+            config = demo_config(out, algorithms=_FILTER_SUM, ThresholdFilter__Min=0.25)
+        else:
+            config = data.draw(_stage_configs(out, "RandomEventSource", field_count))
+        _random_source(config, seed, num_events, field_count)
+        assert (_run_and_read(config, standard_catalogue(), out)
+                == _run_and_read(config, per_event_catalogue(), out))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(-2**63, 2**63 - 1), num_events=_NUM_EVENTS,
+       field_count=st.integers(0, 5), data=st.data())
+def test_file_source_stages_equal_their_per_event_reference(seed, num_events,
+                                                            field_count, data):
+    with tempfile.TemporaryDirectory() as work:
+        source, out = os.path.join(work, "source.pdc"), os.path.join(work, "out.pdc")
+        made = run_job(_random_source(demo_config(source, algorithms=("RandomEventSource",)),
+                                      seed, num_events, field_count))
+        assert made.report.succeeded, made.report.error
+        config = data.draw(_stage_configs(out, "FileEventSource", field_count))
+        config.set("FileEventSource.Input", source)
+        assert (_run_and_read(config, standard_catalogue(), out)
+                == _run_and_read(config, per_event_catalogue(), out))
+
+
+def test_the_per_event_reference_runs_every_process(tmp_path):
+    # guards the law above: its reference must not take the stages' path
+    calls = []
+    catalogue = per_event_catalogue()
+    for cls in catalogue.algorithms.values():
+        def process(self, job, event, _base=cls.process):
+            calls.append(self.name)
+            return _base(self, job, event)
+        cls.process = process
+    run_job(demo_config(tmp_path / "ref.pdc", algorithms=_FILTER_SUM,
+                        RandomEventSource__NumEvents=4, ThresholdFilter__Min=0.5),
+            catalogue)
+    assert calls.count("RandomEventSource") == 4
+    assert calls.count("ThresholdFilter") == 4
+    assert 0 < calls.count("Accumulator") < 4
