@@ -398,8 +398,9 @@ def test_file_source_stages_equal_their_per_event_reference(seed, num_events,
                                                             field_count, data):
     with tempfile.TemporaryDirectory() as work:
         source, out = os.path.join(work, "source.pdc"), os.path.join(work, "out.pdc")
-        made = run_job(_random_source(demo_config(source, algorithms=("RandomEventSource",)),
-                                      seed, num_events, field_count))
+        made = run_job(_random_source(
+            demo_config(source, algorithms=("RandomEventSource",)),
+            seed, num_events, field_count))
         assert made.report.succeeded, made.report.error
         config = data.draw(_stage_configs(out, "FileEventSource", field_count))
         config.set("FileEventSource.Input", source)
