@@ -31,7 +31,7 @@ from provrun.errors import (
     UnsupportedVersion,
     WriteFailure,
 )
-from provrun.container import extract_info
+from provrun.container import encode_table, extract_info
 from provrun.events import decode_events, encode_events
 
 from helpers import FailingFile
@@ -76,6 +76,22 @@ def test_block_names_preserve_write_order(tmp_path):
     write_container(path, [("zeta", b"1"), ("alpha", b"2"), ("mid", b"3")])
     with ContainerReader(path) as reader:
         assert reader.block_names() == ["zeta", "alpha", "mid"]
+
+
+def test_a_name_longer_than_its_length_field_is_refused():
+    with pytest.raises(ValueError, match="name too long"):
+        encode_table([("n" * 0x10000, b"")])
+
+
+def test_a_text_payload_is_refused(tmp_path):
+    with pytest.raises(TypeError, match="must be bytes"):
+        write_container(tmp_path / "text.pdc", [("events", "not bytes")])
+    assert not (tmp_path / "text.pdc").exists()
+
+
+def test_a_missing_file_is_a_container_error(tmp_path):
+    with pytest.raises(CorruptContainer, match="cannot open"):
+        ContainerReader(tmp_path / "missing.pdc")
 
 
 def test_duplicate_block_rejected(tmp_path):

@@ -175,6 +175,12 @@ def test_integer_literal_does_not_satisfy_float_property():
     assert isinstance(job.failure, KindMismatch)
 
 
+def test_a_default_that_misfits_its_kind_fails_instantiation():
+    misfit = type("Misfit", (Algorithm,), {"PROPERTIES": (("Gain", Kind.FLOAT, 1),)})
+    with pytest.raises(KindMismatch, match="default for 'Gain' is not float"):
+        misfit()
+
+
 def test_initialize_defaults_when_unassigned():
     job = build_job(demo_config(""))
     job.initialize()

@@ -423,3 +423,15 @@ def test_the_per_event_reference_runs_every_process(tmp_path):
     assert calls.count("RandomEventSource") == 4
     assert calls.count("ThresholdFilter") == 4
     assert 0 < calls.count("Accumulator") < 4
+
+
+@pytest.mark.parametrize("catalogue", [standard_catalogue, per_event_catalogue])
+def test_the_accumulator_adds_left_to_right(tmp_path, catalogue):
+    # math.fsum, and sum() from Python 3.12, give 1.0; the summary bytes
+    # pin the plain left-to-right += of one row after another
+    source, out = tmp_path / "cancel.pdc", tmp_path / "sum.pdc"
+    write_container(source, [("events", encode_events(["f0"], [(1e16,), (1.0,), (-1e16,)]))])
+    job = run_job(demo_config(out, algorithms=("FileEventSource", "Accumulator"),
+                              FileEventSource__Input=str(source)), catalogue())
+    assert job.report.succeeded, job.report.error
+    assert read_block(out, "summary") == b"Accumulator.Count = 3\nAccumulator.Sum = 0.0\n"

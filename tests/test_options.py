@@ -301,6 +301,20 @@ def test_control_characters_escape_and_return():
     assert parse_value(text) == value
 
 
+def test_values_are_immutable():
+    value = OptionValue.of(3)
+    with pytest.raises(AttributeError):
+        value.kind = Kind.FLOAT
+    assert value.kind is Kind.INTEGER
+
+
+def test_equal_values_hash_equal_and_signed_zeros_stay_apart():
+    assert len({OptionValue.of(0.0), OptionValue.of(-0.0)}) == 2
+    for plain in (0.0, -0.0, 3, True, "x", [1.5, -0.0], []):
+        made, parsed = OptionValue.of(plain), parse_value(value_to_text(OptionValue.of(plain)))
+        assert made == parsed and hash(made) == hash(parsed)
+
+
 def test_negative_zero_is_distinct_and_roundtrips():
     pos = OptionValue.of(0.0)
     neg = OptionValue.of(-0.0)
@@ -332,6 +346,8 @@ def test_value_constructor_rejects_bad_values():
         OptionValue.of([1, "two"])
     with pytest.raises(InvalidOptionValue):
         OptionValue.of([[1]])
+    with pytest.raises(InvalidOptionValue, match="text is not valid Unicode"):
+        OptionValue.of("\ud800")
     with pytest.raises(InvalidOptionValue):
         OptionKey("A", "")
     with pytest.raises(InvalidOptionValue):
