@@ -231,6 +231,3 @@ class DemoTool(Component):
     is exercised for real."""
 
     PROPERTIES = (("Gain", Kind.FLOAT, 1.0),)
-
-    def amplify(self, value: float) -> float:
-        return value * self.value("Gain")

@@ -27,6 +27,10 @@ Tokens, one compiled pattern each (``[0-9]`` is ASCII only):
 A list is ``[]`` or ``[v, ...]`` of scalars of one kind. Every syntax error
 is an ``OptionsSyntaxError`` with the 1-based line and column where the
 scanner stopped.
+
+``OptionValue.of`` is the one checked way to make a value: the Python type
+gives the kind, and the value must lie in that kind's domain. There is no
+``OptionValue(kind, value)``; the scanner makes what it checked by ``_checked``.
 """
 
 from __future__ import annotations
@@ -58,11 +62,9 @@ class Kind(Enum):
     LIST = "list"
 
 
-_SCALAR_KINDS = (Kind.INTEGER, Kind.FLOAT, Kind.BOOLEAN, Kind.TEXT)
-
-
 class OptionValue:
-    """One typed, immutable value.
+    """One typed, immutable value. `OptionValue.of` is the one checked way to
+    make one; there is no `OptionValue(kind, value)`.
 
     Floats must be finite; list elements must all share one scalar kind
     (an empty list carries no element kind and satisfies any list slot).
@@ -71,48 +73,6 @@ class OptionValue:
     """
 
     __slots__ = ("kind", "value")
-
-    def __init__(self, kind: Kind, value):
-        if kind is Kind.INTEGER:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InvalidOptionValue(f"integer value expected, got {value!r}")
-            if not INT64_MIN <= value <= INT64_MAX:
-                raise InvalidOptionValue(f"integer {value} outside the 64-bit signed range")
-        elif kind is Kind.FLOAT:
-            if isinstance(value, int) and not isinstance(value, bool):
-                value = float(value)
-            if not isinstance(value, float):
-                raise InvalidOptionValue(f"float value expected, got {value!r}")
-            if not math.isfinite(value):
-                raise InvalidOptionValue("non-finite floats are not representable")
-        elif kind is Kind.BOOLEAN:
-            if not isinstance(value, bool):
-                raise InvalidOptionValue(f"boolean value expected, got {value!r}")
-        elif kind is Kind.TEXT:
-            if not isinstance(value, str):
-                raise InvalidOptionValue(f"text value expected, got {value!r}")
-            try:
-                value.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise InvalidOptionValue(f"text is not valid Unicode: {exc}") from None
-        elif kind is Kind.LIST:
-            items = tuple(value)
-            elem_kind = None
-            for item in items:
-                if not isinstance(item, OptionValue):
-                    raise InvalidOptionValue("list elements must be OptionValue instances")
-                if item.kind not in _SCALAR_KINDS:
-                    raise InvalidOptionValue("lists cannot be nested")
-                if elem_kind is None:
-                    elem_kind = item.kind
-                elif item.kind is not elem_kind:
-                    raise InvalidOptionValue(
-                        f"heterogeneous list: {elem_kind.value} and {item.kind.value}")
-            value = items
-        else:  # pragma: no cover - exhaustive enum
-            raise InvalidOptionValue(f"unknown kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
 
     def __setattr__(self, name, _value):
         raise AttributeError("OptionValue is immutable")
@@ -127,19 +87,34 @@ class OptionValue:
 
     @classmethod
     def of(cls, value) -> "OptionValue":
-        """Wrap a plain Python value, inferring the kind."""
+        """The one checked way to make a value: the Python type gives the kind."""
         if isinstance(value, OptionValue):
             return value
         if isinstance(value, bool):
-            return cls(Kind.BOOLEAN, value)
+            return cls._checked(Kind.BOOLEAN, value)
         if isinstance(value, int):
-            return cls(Kind.INTEGER, value)
+            if not INT64_MIN <= value <= INT64_MAX:
+                raise InvalidOptionValue(f"integer {value} outside the 64-bit signed range")
+            return cls._checked(Kind.INTEGER, value)
         if isinstance(value, float):
-            return cls(Kind.FLOAT, value)
+            if not math.isfinite(value):
+                raise InvalidOptionValue("non-finite floats are not representable")
+            return cls._checked(Kind.FLOAT, value)
         if isinstance(value, str):
-            return cls(Kind.TEXT, value)
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise InvalidOptionValue(f"text is not valid Unicode: {exc}") from None
+            return cls._checked(Kind.TEXT, value)
         if isinstance(value, (list, tuple)):
-            return cls(Kind.LIST, tuple(cls.of(v) for v in value))
+            items = tuple(map(cls.of, value))
+            for item in items:
+                if item.kind is Kind.LIST:
+                    raise InvalidOptionValue("lists cannot be nested")
+                if item.kind is not items[0].kind:
+                    raise InvalidOptionValue(f"heterogeneous list: {items[0].kind.value} "
+                                             f"and {item.kind.value}")
+            return cls._checked(Kind.LIST, items)
         raise InvalidOptionValue(f"cannot represent {value!r} as an option value")
 
     @property
@@ -314,8 +289,7 @@ _ESCAPE_RE = re.compile(r"\\(?:u([dD][89abAB]..)\\u(....)|u(....)|(.))", re.DOTA
 _TEXT_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 _TEXT_ESCAPE_RE = re.compile(r'["\\\x00-\x1f]')
 _SIMPLE_ESCAPES = {escape[1]: ch for ch, escape in _TEXT_ESCAPES.items()}
-_BOOLEANS = {"true": OptionValue(Kind.BOOLEAN, True),
-             "false": OptionValue(Kind.BOOLEAN, False)}
+_BOOLEANS = {"true": OptionValue.of(True), "false": OptionValue.of(False)}
 _CR_MESSAGE = "carriage return: documents use LF line endings"
 
 

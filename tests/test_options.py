@@ -301,6 +301,12 @@ def test_control_characters_escape_and_return():
     assert parse_value(text) == value
 
 
+def test_of_is_the_one_way_to_make_a_value():
+    with pytest.raises(TypeError):
+        OptionValue(Kind.INTEGER, 3)
+    assert OptionValue.of(3).kind is Kind.INTEGER
+
+
 def test_values_are_immutable():
     value = OptionValue.of(3)
     with pytest.raises(AttributeError):

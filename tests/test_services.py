@@ -110,7 +110,6 @@ def test_tool_property_applied_from_config():
     job.initialize()
     tool = job.tool("DemoTool")
     assert tool.value("Gain") == 2.5
-    assert tool.amplify(2.0) == 5.0
 
 
 def test_assigning_to_tool_instantiates_it_for_capture(tmp_path):
