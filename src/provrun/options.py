@@ -28,9 +28,8 @@ A list is ``[]`` or ``[v, ...]`` of scalars of one kind. Every syntax error
 is an ``OptionsSyntaxError`` with the 1-based line and column where the
 scanner stopped.
 
-``OptionValue.of`` is the one checked way to make a value: the Python type
-gives the kind, and the value must lie in that kind's domain. There is no
-``OptionValue(kind, value)``; the scanner makes what it checked by ``_checked``.
+``OptionValue.of`` is the one checked way to make a value: the Python type gives
+the kind, the value must lie in its domain; there is no ``OptionValue(kind, value)``.
 """
 
 from __future__ import annotations
@@ -92,20 +91,21 @@ class OptionValue:
             return value
         if isinstance(value, bool):
             return cls._checked(Kind.BOOLEAN, value)
+        # a subclass's own text, such as numpy's "np.float64(0.5)", is not canonical
         if isinstance(value, int):
             if not INT64_MIN <= value <= INT64_MAX:
                 raise InvalidOptionValue(f"integer {value} outside the 64-bit signed range")
-            return cls._checked(Kind.INTEGER, value)
+            return cls._checked(Kind.INTEGER, int.__int__(value))
         if isinstance(value, float):
             if not math.isfinite(value):
                 raise InvalidOptionValue("non-finite floats are not representable")
-            return cls._checked(Kind.FLOAT, value)
+            return cls._checked(Kind.FLOAT, float.__float__(value))
         if isinstance(value, str):
             try:
                 value.encode("utf-8")
             except UnicodeEncodeError as exc:
                 raise InvalidOptionValue(f"text is not valid Unicode: {exc}") from None
-            return cls._checked(Kind.TEXT, value)
+            return cls._checked(Kind.TEXT, str.__str__(value))
         if isinstance(value, (list, tuple)):
             items = tuple(map(cls.of, value))
             for item in items:

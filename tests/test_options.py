@@ -307,6 +307,30 @@ def test_of_is_the_one_way_to_make_a_value():
     assert OptionValue.of(3).kind is Kind.INTEGER
 
 
+class _Loud(float):
+    def __repr__(self):
+        return "Loud(" + float.__repr__(self) + ")"
+
+
+class _Shout(int):
+    def __str__(self):
+        return "SHOUT"
+
+
+class _Whisper(str):
+    pass
+
+
+@pytest.mark.parametrize("plain", [_Loud(0.5), _Shout(-3), _Whisper("a\tb")],
+                         ids=["float", "integer", "text"])
+def test_a_subclass_value_is_stored_as_its_builtin_and_emits_canonically(plain):
+    # numpy's float64 is a float whose repr, "np.float64(0.5)", does not parse
+    value = OptionValue.of(plain)
+    assert type(value.value) is type(plain).__mro__[1]
+    assert value.value == plain
+    assert parse_value(value_to_text(value)) == value
+
+
 def test_values_are_immutable():
     value = OptionValue.of(3)
     with pytest.raises(AttributeError):
