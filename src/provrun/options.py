@@ -91,7 +91,7 @@ class OptionValue:
             return value
         if isinstance(value, bool):
             return cls._checked(Kind.BOOLEAN, value)
-        # a subclass's own text, such as numpy's "np.float64(0.5)", is not canonical
+        # store exact built-ins: a subclass's text, e.g. "np.float64(0.5)", is not canonical
         if isinstance(value, int):
             if not INT64_MIN <= value <= INT64_MAX:
                 raise InvalidOptionValue(f"integer {value} outside the 64-bit signed range")
