@@ -23,7 +23,7 @@ from itertools import chain, repeat
 from .components import Component
 from .container import ContainerReader, refuse_overwrite
 from .errors import AlgorithmFailure, CorruptContainer, LineageMissing
-from .events import decode_events
+from .events import iter_events
 from .options import Kind, OptionsSet, emit_canonical
 from .rng import LANES, draw_doubles
 
@@ -125,7 +125,8 @@ def _random_rows(seed: int, count: int, width: int):
 
 class FileEventSource(EventSource):
     """Replays the `events` block of an existing container as the input
-    stream, recording the file's identity (path + checksum) as lineage."""
+    stream, recording the file's identity (path + checksum) as lineage.
+    It holds the block's bytes and unpacks each row as the event is made."""
 
     PROPERTIES = (("Input", Kind.TEXT, ""),)
 
@@ -144,16 +145,16 @@ class FileEventSource(EventSource):
             with ContainerReader(path) as reader:
                 payload = reader.read_block("events")
                 crc = reader.block_crc("events")
-            self.fields, self._rows = decode_events(payload)
+            self.fields, self._count, self._rows = iter_events(payload)
         except CorruptContainer as exc:
             raise AlgorithmFailure(f"cannot read input {path!r}: {exc}") from exc
         job.lineage.record(path, crc)
 
     def plan(self, job) -> int:
-        return len(self._rows)
+        return self._count
 
     def process(self, job, event) -> bool:
-        event.row = self._rows[event.index]
+        event.row = next(self._rows)
         return True
 
     def stream(self, job, event, rows):

@@ -112,7 +112,10 @@ def _normalize_blocks(blocks: Iterable[tuple[str, bytes]]) -> list[tuple[str, by
         seen.add(name)
         if not isinstance(payload, (bytes, bytearray, memoryview)):
             raise TypeError(f"payload of block {name!r} must be bytes")
-    return [(name, bytes(payload)) for name, payload in pairs]
+    # bytes and bytearray are written as they are, not copied; a memoryview
+    # is taken as its bytes, so that its length counts bytes
+    return [(name, bytes(payload) if isinstance(payload, memoryview) else payload)
+            for name, payload in pairs]
 
 
 def write_atomically(path, chunks: Iterable[bytes]) -> None:

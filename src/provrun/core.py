@@ -12,10 +12,12 @@ Phase contract: initialize precedes execute precedes finalize, and finalize
 runs exactly once per job no matter how execute ends. Two runs of the same
 config produce byte-identical output containers.
 
-Execute chains the algorithms' `stream` stages, source first, and extends
-the writer's kept rows from the last one. The stages are lazy, so one event
+Execute chains the algorithms' `stream` stages, source first, and hands
+the last one to the writer, which packs each row that leaves the chain into
+the bytes of the output's `events` block. The stages are lazy, so one event
 at a time is in flight: it has left the chain, kept or vetoed, before the
-source makes the next, and a stage that raises fails execute at that event.
+source makes the next, and a stage that raises fails execute at that event,
+with every row kept before it in the output.
 """
 
 from __future__ import annotations
@@ -256,16 +258,17 @@ class Job:
             rows = repeat((), planned)  # the source makes each event's row
             for alg in self.algorithms:
                 rows = alg.stream(self, event, rows)
-            kept = self.writer.rows
-            written = len(kept)
+            kept = self.writer.kept
+            written = kept.count
             try:
-                kept.extend(rows)  # draws the events through every stage, one at a time
+                # draws the events through every stage, one at a time
+                self.writer.keep(rows, len(event.fields))
             except BaseException:
                 planned = event.index  # the event in flight is not seen
                 raise
             finally:  # exact counts even when an algorithm raises
                 self.report.events_seen += planned
-                self.report.events_written += len(kept) - written
+                self.report.events_written += kept.count - written
             self.msg.log(LEVEL_INFO, "ApplicationMgr",
                          f"processed {self.report.events_seen} event(s), "
                          f"kept {self.report.events_written}")

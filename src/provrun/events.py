@@ -6,44 +6,93 @@ field a u16 byte length and the UTF-8 field name, no name twice), then per
 event one IEEE-754 double per field in field order. The event count is
 implied by the remaining length, so identical inputs always encode to
 identical bytes.
+
+Both directions work a row at a time: `PackedRows` packs rows as they come
+into one growing body, and `iter_events` unpacks rows lazily from a
+block's bytes, so neither holds one Python object per event.
 """
 
 from __future__ import annotations
 
 import struct
-from itertools import chain, starmap
-from typing import Sequence
+from itertools import starmap
+from typing import Iterator, Sequence
 
 from .container import decode_table, encode_table
 from .errors import CorruptContainer
 
 
-def encode_events(field_names: Sequence[str], rows: Sequence[Sequence[float]]) -> bytes:
-    if len(set(field_names)) != len(field_names):
-        raise ValueError("the field list names a field twice")
-    header = encode_table([(name, b"") for name in field_names])
-    pack_row = struct.Struct("<" + "d" * len(field_names)).pack
-    try:
-        return b"".join(chain((header,), starmap(pack_row, rows)))
-    except struct.error as exc:
-        for index, row in enumerate(rows):  # the failure path only: find the row
+def row_format(width: int) -> struct.Struct:
+    """One event's row: `width` little-endian doubles."""
+    return struct.Struct("<" + "d" * width)
+
+
+class PackedRows:
+    """The body of an events block, packed as rows are added. The first row
+    that does not pack stops the packing: it is kept with its error, later
+    rows are only counted, and `block` raises that error, naming the row by
+    its index among all the rows added."""
+
+    def __init__(self):
+        self.body = bytearray()
+        self.count = 0  # rows added, packed or not
+        self._misfit = None  # (index, row, exception) of the first row that did not pack
+
+    def extend(self, row: struct.Struct, rows: Sequence) -> None:
+        if self._misfit is None:
+            pack_row = row.pack
             try:
-                pack_row(*row)
-            except struct.error:
-                break
-        raise ValueError(f"row {index} of width {len(row)} does not fit "
-                         f"{len(field_names)} float fields: {exc}") from None
+                self.body += b"".join(starmap(pack_row, rows))
+            except Exception:
+                # find the row, one at a time; whatever it raised, `block`
+                # raises at the write, as a whole-list encode there would
+                for index, kept in enumerate(rows):
+                    try:
+                        self.body += b"".join(starmap(pack_row, (kept,)))
+                    except Exception as exc:
+                        self._misfit = (self.count + index, kept, exc)
+                        break
+        self.count += len(rows)
+
+    def block(self, field_names: Sequence[str]) -> bytearray:
+        """The whole block, built in place: the field table, then the body.
+        Call it once, after the last `extend`."""
+        if len(set(field_names)) != len(field_names):
+            raise ValueError("the field list names a field twice")
+        header = encode_table([(name, b"") for name in field_names])
+        if self._misfit is not None:
+            index, row, exc = self._misfit
+            if not isinstance(exc, struct.error):
+                raise exc
+            raise ValueError(f"row {index} of width {len(row)} does not fit "
+                             f"{len(field_names)} float fields: {exc}")
+        self.body[:0] = header
+        return self.body
+
+
+def encode_events(field_names: Sequence[str], rows: Sequence[Sequence[float]]) -> bytes:
+    packed = PackedRows()
+    packed.extend(row_format(len(field_names)), rows)
+    return bytes(packed.block(field_names))
+
+
+def iter_events(data) -> tuple[list[str], int, Iterator[tuple[float, ...]]]:
+    """The field names, the event count and the rows of a checked `events`
+    block, unpacked one tuple of floats at a time as they are taken."""
+    fields, pos = decode_table(data)
+    names = list(fields)
+    body = memoryview(data)[pos:]
+    if not names:
+        if body:
+            raise CorruptContainer("events payload declares no fields but has data")
+        return names, 0, iter(())
+    row = row_format(len(names))
+    if len(body) % row.size:
+        raise CorruptContainer("events payload length is not a whole number of events")
+    return names, len(body) // row.size, row.iter_unpack(body)
 
 
 def decode_events(data: bytes) -> tuple[list[str], list[tuple[float, ...]]]:
     """The field names and one tuple of floats per event, in field order."""
-    fields, pos = decode_table(data)
-    names = list(fields)
-    body = len(data) - pos
-    if not names:
-        if body:
-            raise CorruptContainer("events payload declares no fields but has data")
-        return names, []
-    if body % (8 * len(names)):
-        raise CorruptContainer("events payload length is not a whole number of events")
-    return names, list(struct.iter_unpack("<" + "d" * len(names), memoryview(data)[pos:]))
+    names, _, rows = iter_events(data)
+    return names, list(rows)

@@ -1,13 +1,15 @@
 """The standard service set: message logging, option application (which
 logs every assignment, lineage declarations included), the tool service,
 the event store (which is the event every algorithm is handed: one tuple
-of floats in schema order), and container persistency; and `Lineage`, the
+of floats in schema order), and container persistency (which packs the
+kept rows as they pass); and `Lineage`, the
 job's one record of its declared inputs and the inputs it reads."""
 
 from __future__ import annotations
 
 import re
 import sys
+from itertools import islice
 from typing import Iterator, Optional
 
 from .components import Component
@@ -18,7 +20,7 @@ from .errors import (
     UnknownComponent,
     UnknownProperty,
 )
-from .events import encode_events
+from .events import PackedRows, row_format
 from .container import write_container
 from .metadata import MetadataDictionary
 from .options import Kind, OptionKey, OptionValue
@@ -32,6 +34,8 @@ LEVEL_INFO = 2
 LEVEL_ERROR = 4
 
 _LEVEL_NAMES = {0: "DEBUG", 1: "VERBOSE", 2: "INFO", 3: "WARNING", 4: "ERROR"}
+
+_KEEP_CHUNK = 1024  # rows the writer holds as tuples before it packs them
 
 
 class Lineage:
@@ -145,7 +149,9 @@ class EventDataSvc(Service):
     float per name of `fields` (the job's schema) in that order. `row` is
     set for each `process` call; a stage that overrides `stream` is handed
     the rows instead. A row is never changed in place: an algorithm that
-    transforms the event assigns it a new `row`, as `put` does."""
+    transforms the event assigns it a new `row`, as `put` does. The job keeps
+    no row per event: the writer packs each row that leaves the chain into
+    bytes, a chunk at a time."""
 
     def __init__(self):
         super().__init__()
@@ -176,13 +182,28 @@ class EventDataSvc(Service):
 
 
 class ContainerWriterSvc(Service):
-    """Holds the kept rows, which execute extends, and the extra blocks,
-    then writes the container."""
+    """Packs the kept rows as execute hands them over, holds the extra
+    blocks, then writes the container."""
 
     def __init__(self):
         super().__init__()
-        self.rows: list[tuple[float, ...]] = []  # rows are immutable: kept by reference
+        self.kept = PackedRows()
         self._extra_blocks: list[tuple[str, bytes]] = []
+
+    def keep(self, rows: Iterator[tuple[float, ...]], width: int) -> None:
+        """Pack the rows `rows` yields, of `width` floats each, a chunk at a
+        time. Rows are taken one by one, so a row taken before `rows` raises
+        is kept, and none is taken ahead of need."""
+        row = row_format(width)
+        chunk: list[tuple[float, ...]] = []
+        while True:
+            try:
+                chunk.extend(islice(rows, _KEEP_CHUNK))
+            finally:
+                self.kept.extend(row, chunk)
+            if len(chunk) < _KEEP_CHUNK:
+                return
+            chunk.clear()
 
     def add_block(self, name: str, payload: bytes) -> None:
         self._extra_blocks.append((name, payload))
@@ -190,7 +211,7 @@ class ContainerWriterSvc(Service):
     def write(self, path, fields: list[str],
               info: Optional[MetadataDictionary]) -> dict[str, int]:
         try:
-            events = encode_events(fields, self.rows)
+            events = self.kept.block(fields)
         except ValueError as exc:
             raise AlgorithmFailure(f"cannot write the kept events: {exc}") from exc
         return write_container(path, [("events", events), *self._extra_blocks], info)

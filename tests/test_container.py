@@ -1,10 +1,13 @@
 """Container format: round trips, corruption detection, reader locality."""
 
+import array
 import builtins
 import contextlib
 import io
+import os
 import random
 import struct
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,8 +17,10 @@ from provrun import (
     ContainerReader,
     MetadataDictionary,
     OptionsSet,
+    PhaseStatus,
     parse_options,
     read_block,
+    run_job,
     write_container,
 )
 from provrun.crc import crc32c
@@ -34,7 +39,7 @@ from provrun.errors import (
 from provrun.container import encode_table, extract_info
 from provrun.events import decode_events, encode_events
 
-from helpers import FailingFile
+from helpers import FailingFile, demo_config
 
 
 def test_crc32c_known_vectors():
@@ -92,6 +97,20 @@ def test_a_text_payload_is_refused(tmp_path):
 def test_a_missing_file_is_a_container_error(tmp_path):
     with pytest.raises(CorruptContainer, match="cannot open"):
         ContainerReader(tmp_path / "missing.pdc")
+
+
+def test_a_bytearray_or_memoryview_payload_writes_the_same_file_as_bytes(tmp_path):
+    # past 32 KiB, so the lane path of the CRC reads the payload too; the
+    # memoryview of doubles is 8 bytes an item, and its block is its bytes
+    big, wide = bytes(range(256)) * 200, array.array("d", [1.0, -2.5])
+    files = []
+    for kind in (bytes, bytearray, memoryview):
+        path = tmp_path / f"{kind.__name__}.pdc"
+        write_container(path, [("big", kind(big)), ("wide", memoryview(wide)),
+                               ("empty", kind(b""))])
+        files.append(path.read_bytes())
+    assert files[0] == files[1] == files[2]
+    assert read_block(tmp_path / "bytes.pdc", "wide") == wide.tobytes()
 
 
 def test_duplicate_block_rejected(tmp_path):
@@ -468,6 +487,31 @@ def test_decode_events_raises_only_corrupt_container(data):
     with contextlib.suppress(CorruptContainer):
         names, rows = decode_events(data)
         assert all(len(row) == len(names) for row in rows)
+
+
+@settings(max_examples=150)
+@given(data=st.one_of(st.binary(max_size=64), _event_edits.map(_edited_events)))
+@example(data=_VALID_EVENTS)
+def test_the_file_source_reads_what_decode_events_decodes(data):
+    # the source unpacks its rows lazily; a job that copies an `events`
+    # block writes it back byte for byte, or fails initialize with the
+    # CorruptContainer that decode_events raises, and runs no event
+    with tempfile.TemporaryDirectory() as work:
+        source, out = os.path.join(work, "source.pdc"), os.path.join(work, "out.pdc")
+        write_container(source, [("events", data)])
+        job = run_job(demo_config(out, algorithms=("FileEventSource",),
+                                  FileEventSource__Input=source))
+        try:
+            _, rows = decode_events(data)
+        except CorruptContainer as exc:
+            assert job.report.phases["initialize"] is PhaseStatus.FAILED
+            assert job.report.error == f"initialize: cannot read input {source!r}: {exc}"
+            assert job.report.events_seen == 0
+            assert not os.path.exists(out)
+        else:
+            assert job.report.succeeded, job.report.error
+            assert job.report.events_seen == job.report.events_written == len(rows)
+            assert read_block(out, "events") == data
 
 
 class _RawInfo:

@@ -306,6 +306,20 @@ def test_algorithm_failure_aborts_loop_but_finalize_runs(tmp_path):
             == decode_events(read_block(whole, "events"))[1][:3])
 
 
+def test_a_failure_after_several_packed_chunks_keeps_every_row_before_it(tmp_path):
+    # the writer packs the kept rows a chunk of 1024 at a time
+    out, whole = tmp_path / "fail.pdc", tmp_path / "whole.pdc"
+    config = demo_config(out, algorithms=("RandomEventSource", "FailAfter"),
+                         RandomEventSource__NumEvents=3000, FailAfter__After=2500)
+    job = run_job(config, failing_catalogue())
+    assert job.report.phases["execute"] is PhaseStatus.FAILED
+    assert (job.report.events_seen, job.report.events_written) == (2500, 2500)
+    run_job(demo_config(whole, algorithms=("RandomEventSource",),
+                        RandomEventSource__NumEvents=3000))
+    assert (decode_events(read_block(out, "events"))[1]
+            == decode_events(read_block(whole, "events"))[1][:2500])
+
+
 # a kept row one cell short, and one with a cell that is not a number
 MISFITS = {
     "short": (lambda row: row[:1], "row 2 of width 1 does not fit 2 float fields"),

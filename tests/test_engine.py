@@ -187,6 +187,30 @@ def test_input_naming_one_field_twice_fails_initialize(tmp_path):
     assert not out.exists()
 
 
+_TWO_ROWS = encode_events(["f0", "f1"], [(1.0, 2.0), (3.0, 4.0)])
+
+
+# each block has a valid CRC-32C: only its own layout is wrong
+@pytest.mark.parametrize("events, message", [
+    (_TWO_ROWS[:-3], "events payload length is not a whole number of events"),
+    (_TWO_ROWS + b"\0" * 8, "events payload length is not a whole number of events"),
+    (_TWO_ROWS[:7], "truncated name table"),
+    (encode_events([], []) + b"\0" * 8, "events payload declares no fields but has data"),
+], ids=["row-cut-short", "half-a-row-extra", "table-cut-short", "data-without-fields"])
+def test_a_truncated_or_mismatched_input_events_block_fails_initialize(tmp_path, events,
+                                                                      message):
+    source, out = tmp_path / "bad.pdc", tmp_path / "out.pdc"
+    write_container(source, [("events", events)])
+    job = run_job(demo_config(out, algorithms=("FileEventSource", "Accumulator"),
+                              FileEventSource__Input=str(source)))
+    assert job.report.phases["initialize"] is PhaseStatus.FAILED
+    assert job.report.phases["execute"] is PhaseStatus.SKIPPED
+    assert str(job.failure) == f"cannot read input {str(source)!r}: {message}"
+    assert (job.report.events_seen, job.report.events_written) == (0, 0)
+    assert job.algorithms[1]._count == 0  # no event reached the accumulator
+    assert not out.exists()
+
+
 # --- by-name access -----------------------------------------------------------------
 
 class DoubleF0(Algorithm):

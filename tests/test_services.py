@@ -1,12 +1,18 @@
-"""Standard services: option application log, logging thresholds, tools."""
+"""Standard services: option application log, logging thresholds, tools,
+and the writer's packing of the kept rows."""
 
+import os
 import random
+import struct
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from provrun import OptionsSet, build_job, extract_info, run_job, standard_catalogue
-from provrun.errors import UnknownTool
-from provrun.services import Service
+from provrun import OptionsSet, build_job, extract_info, read_block, run_job, standard_catalogue
+from provrun.errors import AlgorithmFailure, UnknownTool
+from provrun.events import encode_events
+from provrun.services import ContainerWriterSvc, Service
 
 from helpers import demo_config, random_demo_config
 
@@ -152,3 +158,69 @@ def test_service_start_order_and_reverse_stop():
     assert job.report.succeeded
     assert calls == [("SvcA", "start"), ("SvcB", "start"),
                      ("SvcB", "stop"), ("SvcA", "stop")]
+
+
+# --- the writer ---------------------------------------------------------------------
+
+# what a buggy algorithm may keep: a row of the wrong width, a cell that is
+# no number or a number no double holds, or no row at all
+_ANY_CELL = st.one_of(st.floats(), st.integers(-2**1100, 2**1100), st.text(max_size=2),
+                      st.none())
+_MISFIT = st.one_of(st.none(), st.lists(_ANY_CELL, max_size=4).map(tuple))
+
+
+@st.composite
+def _kept_rows(draw):
+    """A width, rows that mostly fit it, and where to cut them into hand-overs."""
+    width = draw(st.integers(0, 3))
+    fitting = st.tuples(*[st.one_of(st.floats(), st.integers(-2**53, 2**53))] * width)
+    rows = draw(st.lists(fitting, max_size=30))
+    for _ in range(draw(st.integers(0, 3)) - 1):  # half the lists have no misfit
+        rows.insert(draw(st.integers(0, len(rows))), draw(_MISFIT))
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+    return width, rows, cuts
+
+
+def _first_misfit(width, rows):
+    """The index of the first row that is not `width` doubles, by a plain loop."""
+    for index, kept in enumerate(rows):
+        try:
+            struct.pack("<" + "d" * width, *kept)
+        except (struct.error, TypeError):
+            return index
+    return None
+
+
+@settings(max_examples=300)
+@given(kept=_kept_rows())
+@example(kept=(2, [(1.0, 2.0), (3.0, 4.0), (5.0,), (6.0, 7.0)], [1]))
+@example(kept=(2, [(1.0, 2.0), (3.0, 4.0), None, (6.0, 7.0)], [2, 2]))
+def test_the_writer_packs_what_encode_events_encodes(kept):
+    # handed over in parts, the kept rows give encode_events' block, or its
+    # error naming the same row among all the rows kept
+    width, rows, cuts = kept
+    fields = [f"f{i}" for i in range(width)]
+    try:
+        expected = encode_events(fields, rows)
+    except Exception as exc:
+        expected = exc
+    writer = ContainerWriterSvc()
+    for start, end in zip([0, *cuts], [*cuts, len(rows)]):
+        writer.keep(iter(rows[start:end]), width)
+    assert writer.kept.count == len(rows)
+    with tempfile.TemporaryDirectory() as work:
+        out = os.path.join(work, "out.pdc")
+        if isinstance(expected, bytes):
+            writer.write(out, fields, None)
+            assert read_block(out, "events") == expected
+            return
+        with pytest.raises(Exception) as raised:
+            writer.write(out, fields, None)
+        assert not os.path.exists(out)
+    if isinstance(expected, ValueError):
+        assert raised.type is AlgorithmFailure
+        assert str(raised.value) == f"cannot write the kept events: {expected}"
+        index = _first_misfit(width, rows)
+        assert str(expected).startswith(f"row {index} of width ")
+    else:
+        assert (raised.type, str(raised.value)) == (type(expected), str(expected))
