@@ -119,18 +119,21 @@ def _normalize_blocks(blocks: Iterable[tuple[str, bytes]]) -> list[tuple[str, by
 
 
 def write_atomically(path, chunks: Iterable[bytes]) -> None:
-    """Write `chunks` to `path` through a temporary file; on failure remove it
-    and raise WriteFailure, leaving any earlier file at `path` as it was."""
+    """Write `chunks` to `path` through a temporary file. On any failure
+    remove it, leaving any earlier file at `path` as it was; an OSError is
+    raised as WriteFailure, anything else as it came."""
     temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(temporary, "wb") as handle:
             for chunk in chunks:
                 handle.write(chunk)
         os.replace(temporary, path)
-    except OSError as exc:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(temporary)
-        raise WriteFailure(f"cannot write {path}: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise WriteFailure(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def refuse_overwrite(source, target) -> None:

@@ -3,38 +3,62 @@
 Reflected polynomial 0x82F63B78, init and final xor 0xFFFFFFFF.
 crc32c(b"123456789") == 0xE3069283.
 
-Two paths give the same value:
+Three paths give the same value. All rest on one fact: the register
+update is linear over GF(2). Write T_d[v] for the register that byte v
+followed by d zero bytes leaves behind, starting from a zero register,
+and Z_d for the map that appends d zero bytes to a register. Running
+data D from register r then ends in
+
+    Z_|D|(r) ^ R(D),  R(D) = XOR over positions i of T_{|D|-1-i}[D[i]],
+
+so a byte's share of the result depends only on its value and its
+distance to the end of the run, never on the bytes before it.
 
 - `_crc32c_bytewise`, a slice-by-8 table loop (Kounavis & Berry, ISCC
-  2005), is the reference. `crc32c` uses it for inputs below 64 lanes
-  (32 KiB) and for the last partial lane of longer ones. One
+  2005), is the reference. `crc32c` uses it for inputs under 72 bytes
+  and for the last remainder under 72 bytes of longer ones. One
   `struct.iter_unpack("<I4B")` record is one 8-byte step: the low four
   bytes come as one little-endian word, xored into the register whole,
   and the high four as the bytes that index `_T3`..`_T0`. A tail of up to
   7 bytes runs a byte at a time.
-- Longer inputs take the lane path. The input is cut into 512-byte lanes,
-  up to 2048 of them (1 MiB) per chunk. Every lane of a chunk runs from a
-  zero register at once, one byte column (`chunk[j::512]`) at a time: the
-  lanes' registers are four byte planes of one int, a table lookup is
-  `bytes.translate` on four byte-plane tables of `_T0`, and the xors are
-  int xors. Each lane's register is then folded into the running CRC.
+- The parity path takes inputs from 72 bytes up to the lane threshold,
+  and the remainder after the lanes, a span of up to 768 bytes at a
+  time. Xoring a register r into the first four bytes of a span (r's
+  little-endian bytes) is the same as starting the span from r, so the
+  span's result is R of the altered span alone: a linear map of its
+  bits. Read the span as one big-endian int x; the bit for byte
+  distance d and bit b sits at 8d + b. Result bit j is then the parity
+  of x & M_j, where M_j holds bit j of T_d[1 << b] at 8d + b. The masks
+  are laid out from the end of the span, so one set serves every span
+  length, and longer inputs chain span by span.
+- Inputs of 32 lanes (6 KiB) or more take the lane path. The input is
+  cut into 192-byte lanes, up to 4096 of them per chunk. Lane column j
+  (`chunk[j::192]`), the byte at distance 191 - j from each lane's end,
+  is translated through the four byte planes of T_{191-j} with
+  `bytes.translate`, and the planes of all lanes are xored into one int:
+  that gives every lane's R from a zero register at once, with no
+  register carried from column to column. Each lane's R is then folded
+  into the running register: after lanes L1..Li it is Z_192(register
+  after L1..Li-1) ^ R(Li). Z_192 is four 256-entry tables, zlib's
+  `crc32_combine` idea (M. Adler) and the folding of Gopal et al., "Fast
+  CRC Computation for Generic Polynomials Using PCLMULQDQ" (Intel, 2009).
 
-The fold is exact because the CRC register update is linear over GF(2):
-running data D from register r ends in Z_|D|(r) ^ R(D), where R(D) is
-D's register from zero and Z_k appends k zero bytes. So with lanes
-L1..Ln, the register after L1..Li is Z_512(register after L1..Li-1) ^
-R(Li). Z_512 is one constant operator, four 256-entry tables built at
-import: zlib's `crc32_combine` idea (M. Adler), and the folding of Gopal
-et al., "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ"
-(Intel, 2009).
+Every table is built at import from `_T0`: the per-column tables one zero
+byte at a time (T_{d+1}[v] = Z_1(T_d[v])), Z_192 from the first four of
+them (Z_192(v << 8k) = T_{191-k}[v]), and the masks by applying Z_192 to
+the column tables' entries for single-bit bytes.
 """
 
 import struct
+from itertools import repeat
+from operator import and_
 
 _POLY = 0x82F63B78
-_LANE = 512
-_CHUNK_LANES = 2048
-_MIN_LANES = 64
+_LANE = 192
+_CHUNK_LANES = 4096
+_MIN_LANES = 32
+_SPAN = 4 * _LANE
+_MIN_PARITY = 72
 
 
 def _build_tables() -> list[list[int]]:
@@ -73,62 +97,113 @@ def _crc32c_bytewise(data: bytes, crc: int = 0) -> int:
     return crc ^ 0xFFFFFFFF
 
 
-# Byte k of _T0[i], for i in 0..255: the lookup of one register byte plane.
-_PLANES = tuple(bytes((t >> (8 * k)) & 0xFF for t in _T0) for k in range(4))
+def _registers(planes: bytes, n: int) -> tuple[int, ...]:
+    """The n registers whose byte k is planes[k*n:(k+1)*n]."""
+    interleaved = bytearray(4 * n)
+    for k in range(4):
+        interleaved[k::4] = planes[k * n:(k + 1) * n]
+    return struct.unpack(f"<{n}I", interleaved)
 
 
-def _build_zero_lane_tables() -> list[list[int]]:
-    """Z_512 as four tables: tables[k][v] appends 512 zero bytes to v << 8k."""
-    zeros = bytes(_LANE)
-    basis = [_crc32c_bytewise(zeros, (1 << b) ^ 0xFFFFFFFF) ^ 0xFFFFFFFF
-             for b in range(32)]
-    tables = [[0] * 256 for _ in range(4)]
-    for k, table in enumerate(tables):
-        for v in range(1, 256):
-            low = v & -v
-            table[v] = table[v ^ low] ^ basis[8 * k + low.bit_length() - 1]
-    return tables
+def _build_columns() -> tuple[tuple[bytes, bytes, bytes, bytes], ...]:
+    """Per lane column j, the four byte planes of T_{_LANE-1-j}."""
+    t0_planes = [bytes((t >> (8 * k)) & 0xFF for t in _T0) for k in range(4)]
+    table = b"".join(t0_planes)  # the planes of T_d, 256 bytes each
+    columns = []
+    for _ in range(_LANE):
+        columns.append((table[:256], table[256:512], table[512:768], table[768:]))
+        low = table[:256]
+        table = (int.from_bytes(b"".join([low.translate(p) for p in t0_planes]), "little")
+                 ^ (int.from_bytes(table, "little") >> 2048)).to_bytes(1024, "little")
+    return tuple(reversed(columns))
 
 
-_Z0, _Z1, _Z2, _Z3 = _build_zero_lane_tables()
+_COLUMNS = _build_columns()
+# Z_LANE: appending a lane of zeros to v << 8k gives T_{_LANE-1-k}[v]
+_Z0, _Z1, _Z2, _Z3 = (list(_registers(b"".join(_COLUMNS[k]), 256)) for k in range(4))
+
+
+def _append_zero_lane(planes: list[bytes]) -> list[bytes]:
+    """Z_LANE of registers held as four byte planes."""
+    out = [0] * 4
+    for plane, z_tables in zip(planes, _COLUMNS):
+        for k in range(4):
+            out[k] ^= int.from_bytes(plane.translate(z_tables[k]), "little")
+    return [o.to_bytes(len(planes[0]), "little") for o in out]
+
+
+def _build_masks() -> tuple[int, ...]:
+    """M_31 .. M_0 over a span of _SPAN bytes."""
+    # plane k of T_d[1 << b] for b = 0..7 in turn, each over d = _LANE-1 .. 0;
+    # each lane inserted in front is one lane farther from the span's end
+    lane = [b"".join(b"".join(column[k] for column in _COLUMNS)[1 << b::256]
+                     for b in range(8)) for k in range(4)]
+    lanes = [lane]
+    while len(lanes) * _LANE < _SPAN:
+        lanes.insert(0, _append_zero_lane(lanes[0]))
+    ones = int.from_bytes(b"\x01" * _SPAN, "big")
+    masks = [0] * 32
+    for b in range(8):
+        cut = slice(b * _LANE, (b + 1) * _LANE)
+        for k in range(4):
+            plane = int.from_bytes(b"".join(planes[k][cut] for planes in lanes), "big")
+            for t in range(8):
+                masks[8 * k + t] |= ((plane >> t) & ones) << b
+    return tuple(reversed(masks))
+
+
+_MASKS = _build_masks()
+_COUNTS = struct.Struct("<32I")
+_LOW_BIT = bytes(b"01"[v & 1] for v in range(256))
+
+
+def _parity_span(span, reg: int) -> int:
+    """Run the raw register `reg` over `span`, 4 to _SPAN bytes."""
+    x = int.from_bytes(span, "big") ^ (
+        int.from_bytes(reg.to_bytes(4, "little"), "big") << (8 * len(span) - 32))
+    counts = _COUNTS.pack(*map(int.bit_count, map(and_, repeat(x), _MASKS)))
+    return int(counts[::4].translate(_LOW_BIT), 2)
 
 
 def _fold_chunk(chunk: bytes, lanes: int, reg: int) -> int:
-    """Run the raw register `reg` over `chunk`, `lanes` lanes of 512 bytes."""
-    p0, p1, p2, p3 = _PLANES
-    width = 8 * lanes
-    mask = (1 << width) - 1
-    from_bytes = int.from_bytes
-    regs = 0  # plane k of every lane's register in bytes k*lanes..(k+1)*lanes
-    for j in range(_LANE):
-        idx = ((regs & mask) ^ from_bytes(chunk[j::_LANE], "little")).to_bytes(
-            lanes, "little")
-        regs = from_bytes(b"".join((idx.translate(p0), idx.translate(p1),
-                                    idx.translate(p2), idx.translate(p3))),
-                          "little") ^ (regs >> width)
-    planes = regs.to_bytes(4 * lanes, "little")
-    interleaved = bytearray(4 * lanes)
-    for k in range(4):
-        interleaved[k::4] = planes[k * lanes:(k + 1) * lanes]
-    for lane in struct.unpack(f"<{lanes}I", interleaved):
+    """Run the raw register `reg` over `chunk`, `lanes` lanes of _LANE bytes."""
+    regs = 0  # plane k of every lane's R in bytes k*lanes..(k+1)*lanes
+    for j, (p0, p1, p2, p3) in enumerate(_COLUMNS):
+        column = chunk[j::_LANE]
+        regs ^= int.from_bytes(b"".join((column.translate(p0), column.translate(p1),
+                                         column.translate(p2), column.translate(p3))),
+                               "little")
+    for lane in _registers(regs.to_bytes(4 * lanes, "little"), lanes):
         reg = (_Z0[reg & 0xFF] ^ _Z1[(reg >> 8) & 0xFF]
                ^ _Z2[(reg >> 16) & 0xFF] ^ _Z3[reg >> 24] ^ lane)
     return reg
 
 
 def crc32c(data: bytes, crc: int = 0) -> int:
-    lanes_left = len(data) // _LANE
-    if lanes_left < _MIN_LANES:
+    """The CRC-32C of `data`, continued from `crc`, the CRC-32C of the bytes
+    before it: crc32c(b + c) == crc32c(c, crc32c(b))."""
+    if not 0 <= crc <= 0xFFFFFFFF:
+        raise ValueError(f"crc {crc!r} is outside 0..0xFFFFFFFF")
+    n = len(data)
+    if n < _MIN_PARITY:
         return _crc32c_bytewise(data, crc)
     view = memoryview(data)
     reg = crc ^ 0xFFFFFFFF
     pos = 0
-    while lanes_left:
-        lanes = min(lanes_left, _CHUNK_LANES)
-        if 0 < lanes_left - lanes < _MIN_LANES:
-            lanes -= _MIN_LANES  # a last chunk of fewer lanes would be slow
-        end = pos + lanes * _LANE
-        reg = _fold_chunk(bytes(view[pos:end]), lanes, reg)
+    lanes_left = n // _LANE
+    if lanes_left >= _MIN_LANES:
+        while lanes_left:
+            lanes = min(lanes_left, _CHUNK_LANES)
+            if 0 < lanes_left - lanes < _MIN_LANES:
+                lanes -= _MIN_LANES  # a last chunk of fewer lanes would be slow
+            end = pos + lanes * _LANE
+            reg = _fold_chunk(bytes(view[pos:end]), lanes, reg)
+            pos = end
+            lanes_left -= lanes
+    while n - pos >= _MIN_PARITY:
+        end = min(pos + _SPAN, n)
+        reg = _parity_span(view[pos:end], reg)
         pos = end
-        lanes_left -= lanes
-    return _crc32c_bytewise(view[pos:], reg ^ 0xFFFFFFFF)
+    if pos < n:
+        return _crc32c_bytewise(view[pos:], reg ^ 0xFFFFFFFF)
+    return reg ^ 0xFFFFFFFF

@@ -23,7 +23,7 @@ from provrun import (
     run_job,
     write_container,
 )
-from provrun.crc import crc32c
+from provrun.crc import _CHUNK_LANES, _LANE, crc32c
 from provrun.errors import (
     BadMagic,
     ChecksumMismatch,
@@ -100,7 +100,7 @@ def test_a_missing_file_is_a_container_error(tmp_path):
 
 
 def test_a_bytearray_or_memoryview_payload_writes_the_same_file_as_bytes(tmp_path):
-    # past 32 KiB, so the lane path of the CRC reads the payload too; the
+    # past the lane threshold, so the lane path of the CRC reads the payload; the
     # memoryview of doubles is 8 bytes an item, and its block is its bytes
     big, wide = bytes(range(256)) * 200, array.array("d", [1.0, -2.5])
     files = []
@@ -171,9 +171,9 @@ def test_every_payload_byte_flip_is_detected(tmp_path):
 
 
 def test_byte_flips_on_the_lane_path_are_detected(tmp_path):
-    # Two 1 MiB chunks of 2048 lanes x 512 B plus an odd tail, so the block
-    # CRC takes the lane path.
-    lane, chunk = 512, 2048 * 512
+    # Two whole chunks of lanes plus an odd tail, so the block CRC takes the
+    # lane path, then a parity span for the tail.
+    lane, chunk = _LANE, _CHUNK_LANES * _LANE
     payload = random.Random(11).randbytes(2 * chunk + 333)
     path = tmp_path / "lanes.pdc"
     write_container(path, [("events", payload)])
@@ -277,6 +277,30 @@ def test_failed_rename_leaves_no_temporary(tmp_path):
         write_container(target, [("events", b"data")])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
     assert list(target.iterdir()) == []
+
+
+class _BrokenSource(Exception):
+    pass
+
+
+def _chunks_that_fail():
+    yield b"written first"
+    raise _BrokenSource("the chunk source broke")
+
+
+@pytest.mark.parametrize("chunks, error", [
+    (lambda: [b"ok", "text, not bytes"], TypeError),
+    (_chunks_that_fail, _BrokenSource),
+], ids=["text_chunk", "raising_iterable"])
+def test_a_failure_that_is_not_an_os_error_leaves_no_temporary(tmp_path, chunks, error):
+    path = tmp_path / "out.pdc"
+    write_container(path, [("events", b"old")])
+    before = path.read_bytes()
+    with pytest.raises(error) as raised:
+        provrun.container.write_atomically(path, chunks())
+    assert not isinstance(raised.value, WriteFailure)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.pdc"]
 
 
 class CountingFile:

@@ -1,12 +1,23 @@
-"""CRC-32C: the table loop checked against a table-free bit loop and the
-RFC 3720 vectors, and the lane path cross-checked against the table loop."""
+"""CRC-32C: every path (byte-serial, parity spans, lanes) checked against a
+table-free bit loop at its thresholds and against the RFC 3720 vectors, and
+the lane path cross-checked against the table loop over random lengths."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from provrun.crc import _crc32c_bytewise, crc32c
+from provrun import crc as crc_module
+from provrun.crc import (
+    _CHUNK_LANES,
+    _LANE,
+    _MIN_LANES,
+    _MIN_PARITY,
+    _SPAN,
+    _crc32c_bytewise,
+    crc32c,
+)
 
 KIB, MIB = 1024, 1024 * 1024
 _SETTINGS = settings(max_examples=8)
@@ -90,15 +101,96 @@ def test_crc32c_matches_bytewise_reference(n, seed, crc):
     assert crc32c(memoryview(b"\x00" + data)[1:], crc) == expected
 
 
-# A split at 512*k + r with 0 < r < 512 falls inside a lane of the whole input.
-_splits = st.builds(lambda k, r: 512 * k + r, st.integers(0, 3000), st.integers(1, 511))
+# A split at _LANE*k + r with 0 < r < _LANE falls inside a lane of the whole input.
+_splits = st.builds(lambda k, r: _LANE * k + r, st.integers(0, 8000),
+                    st.integers(1, _LANE - 1))
 
 
 @_SETTINGS
 @given(split=_splits, rest=st.integers(0, 3 * MIB // 2), seed=_seeds)
 @example(split=64 * 512 + 1, rest=MIB, seed=1)
 @example(split=2048 * 512 + 511, rest=64 * 512, seed=2)
+@example(split=_MIN_LANES * _LANE + 1, rest=_MIN_LANES * _LANE, seed=3)
+@example(split=_CHUNK_LANES * _LANE + _LANE - 1, rest=_MIN_LANES * _LANE, seed=4)
 def test_crc32c_chains_across_a_split_inside_a_lane(split, rest, seed):
     data = _data(split + rest, seed)
     head, tail = data[:split], data[split:]
     assert crc32c(tail, crc32c(head)) == crc32c(data)
+
+
+# Each family puts lengths at, just below and just above one path's edge.
+# The remainder after the lanes or the last whole span runs byte by byte
+# when it is shorter than _MIN_PARITY, and through one parity span otherwise.
+_THRESHOLDS = {
+    "byte_serial_to_parity": [0, 1, 3, 4, _MIN_PARITY - 1, _MIN_PARITY, _MIN_PARITY + 1],
+    "span_multiples": [k * _SPAN + tail for k in (1, 2, 3) for tail in range(4)]
+    + [_SPAN - 1, 2 * _SPAN + _MIN_PARITY - 1, 2 * _SPAN + _MIN_PARITY],
+    "parity_to_lanes": [_MIN_LANES * _LANE + d for d in (-1, 0, 1)],
+    "lane_remainder": [_MIN_LANES * _LANE + r
+                       for r in (_MIN_PARITY - 1, _MIN_PARITY, _LANE - 1)],
+    "chunk": [_CHUNK_LANES * _LANE + d for d in (-1, 0, 1)]
+    + [(_CHUNK_LANES + 1) * _LANE],
+    # fewer than _MIN_LANES lanes past a whole chunk shorten the first chunk
+    "short_last_chunk": [(_CHUNK_LANES + _MIN_LANES - 1) * _LANE + 5,
+                         (_CHUNK_LANES + _MIN_LANES) * _LANE],
+}
+_INITIAL_CRC = 0x1EDC6F41
+
+
+@pytest.fixture(scope="module")
+def bit_loop_prefixes():
+    """A random buffer and the bit loop's CRC of each threshold-length prefix,
+    from _INITIAL_CRC, computed in one pass by chaining prefix to prefix."""
+    lengths = sorted({n for family in _THRESHOLDS.values() for n in family})
+    data = _data(lengths[-1], 21)
+    expected, crc, done = {}, _INITIAL_CRC, 0
+    for n in lengths:
+        crc = _crc32c_bitwise(data[done:n], crc)
+        expected[n], done = crc, n
+    return data, expected
+
+
+@pytest.mark.parametrize("family", sorted(_THRESHOLDS))
+def test_every_path_matches_the_bit_loop_at_its_thresholds(bit_loop_prefixes, family):
+    data, expected = bit_loop_prefixes
+    padded = b"\x00" + data
+    for n in _THRESHOLDS[family]:
+        for form in (data[:n], bytearray(data[:n]), memoryview(padded)[1:n + 1]):
+            assert crc32c(form, _INITIAL_CRC) == expected[n], (family, n, type(form))
+
+
+# A split at _SPAN*k + r with 0 < r < _SPAN falls inside a parity span.
+_span_splits = st.builds(lambda k, r: _SPAN * k + r, st.integers(0, 6),
+                         st.integers(1, _SPAN - 1))
+
+
+@_SETTINGS
+@given(split=_span_splits, rest=st.integers(0, _MIN_LANES * _LANE), seed=_seeds)
+@example(split=_MIN_PARITY + 1, rest=_SPAN, seed=1)
+@example(split=_SPAN + 3, rest=_MIN_PARITY - 1, seed=2)
+def test_crc32c_chains_across_a_split_inside_a_parity_span(split, rest, seed):
+    data = _data(split + rest, seed)
+    head, tail = data[:split], data[split:]
+    expected = _crc32c_bitwise(data)
+    assert crc32c(tail, crc32c(head)) == expected
+    assert crc32c(data) == expected
+
+
+@pytest.mark.parametrize("n", [3, _MIN_PARITY, _MIN_LANES * _LANE])
+@pytest.mark.parametrize("crc", [-1, -0xFFFFFFFF, 1 << 32, 1 << 64])
+def test_a_crc_outside_32_bits_is_refused_on_every_path(n, crc):
+    with pytest.raises(ValueError, match="outside 0..0xFFFFFFFF"):
+        crc32c(bytes(n), crc)
+
+
+def test_the_kernel_tables_stay_small():
+    """The lane path's per-column tables and fold tables and the parity
+    masks, as Python objects, are resident for the life of the process."""
+    size = sys.getsizeof
+    columns = crc_module._COLUMNS
+    folds = (crc_module._Z0, crc_module._Z1, crc_module._Z2, crc_module._Z3)
+    total = (size(columns) + sum(size(column) + sum(map(size, column))
+                                 for column in columns)
+             + size(crc_module._MASKS) + sum(map(size, crc_module._MASKS))
+             + sum(size(fold) + sum(map(size, fold)) for fold in folds))
+    assert total <= 320 * KIB, f"{total} bytes"
