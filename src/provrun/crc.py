@@ -54,11 +54,11 @@ from itertools import repeat
 from operator import and_
 
 _POLY = 0x82F63B78
-_LANE = 192
+_LANE = 192  # keeps the column tables, fold tables and masks under 320 KiB
 _CHUNK_LANES = 4096
-_MIN_LANES = 32
+_MIN_LANES = 32  # below this the parity path is the faster one
 _SPAN = 4 * _LANE
-_MIN_PARITY = 72
+_MIN_PARITY = 72  # below this the byte loop is the faster one
 
 
 def _build_tables() -> list[list[int]]:
@@ -111,8 +111,9 @@ def _build_columns() -> tuple[tuple[bytes, bytes, bytes, bytes], ...]:
     table = b"".join(t0_planes)  # the planes of T_d, 256 bytes each
     columns = []
     for _ in range(_LANE):
-        columns.append((table[:256], table[256:512], table[512:768], table[768:]))
-        low = table[:256]
+        planes = (table[:256], table[256:512], table[512:768], table[768:])
+        columns.append(planes)
+        low = planes[0]
         table = (int.from_bytes(b"".join([low.translate(p) for p in t0_planes]), "little")
                  ^ (int.from_bytes(table, "little") >> 2048)).to_bytes(1024, "little")
     return tuple(reversed(columns))
@@ -136,9 +137,8 @@ def _build_masks() -> tuple[int, ...]:
     """M_31 .. M_0 over a span of _SPAN bytes."""
     # plane k of T_d[1 << b] for b = 0..7 in turn, each over d = _LANE-1 .. 0;
     # each lane inserted in front is one lane farther from the span's end
-    lane = [b"".join(b"".join(column[k] for column in _COLUMNS)[1 << b::256]
-                     for b in range(8)) for k in range(4)]
-    lanes = [lane]
+    stacked = (b"".join(column[k] for column in _COLUMNS) for k in range(4))
+    lanes = [[b"".join(plane[1 << b::256] for b in range(8)) for plane in stacked]]
     while len(lanes) * _LANE < _SPAN:
         lanes.insert(0, _append_zero_lane(lanes[0]))
     ones = int.from_bytes(b"\x01" * _SPAN, "big")
