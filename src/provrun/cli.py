@@ -48,7 +48,7 @@ def _code_for(exc: ProvrunError) -> int:
 
 def _load_config(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
             text = handle.read()
     except OSError as exc:
         raise OptionsError(f"cannot read {path}: {exc}") from exc

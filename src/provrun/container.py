@@ -90,7 +90,7 @@ def decode_table(data: bytes, tail: struct.Struct = _NO_TAIL
         if end + tail.size > len(data):
             raise CorruptContainer("truncated name table")
         try:
-            name = data[pos:end].decode("utf-8")
+            name = str(data[pos:end], "utf-8")
         except UnicodeDecodeError as exc:
             raise CorruptContainer(f"name is not UTF-8: {exc}") from None
         if name in entries:

@@ -14,14 +14,10 @@ data D from register r then ends in
 so a byte's share of the result depends only on its value and its
 distance to the end of the run, never on the bytes before it.
 
-- `_crc32c_bytewise`, a slice-by-8 table loop (Kounavis & Berry, ISCC
-  2005), is the reference. `crc32c` uses it for inputs under 72 bytes
-  and for the last remainder under 72 bytes of longer ones. One
-  `struct.iter_unpack("<I4B")` record is one 8-byte step: the low four
-  bytes come as one little-endian word, xored into the register whole,
-  and the high four as the bytes that index `_T3`..`_T0`. A tail of up to
-  7 bytes runs a byte at a time.
-- The parity path takes inputs from 72 bytes up to the lane threshold,
+- `_crc32c_bytewise`, the one-table loop (Sarwate, CACM 1988), is the
+  reference. `crc32c` uses it for inputs under 48 bytes and for the
+  last remainder under 48 bytes of longer ones.
+- The parity path takes inputs from 48 bytes up to the lane threshold,
   and the remainder after the lanes, a span of up to 768 bytes at a
   time. Xoring a register r into the first four bytes of a span (r's
   little-endian bytes) is the same as starting the span from r, so the
@@ -31,8 +27,9 @@ distance to the end of the run, never on the bytes before it.
   of x & M_j, where M_j holds bit j of T_d[1 << b] at 8d + b. The masks
   are laid out from the end of the span, so one set serves every span
   length, and longer inputs chain span by span.
-- Inputs of 32 lanes (6 KiB) or more take the lane path. The input is
-  cut into 192-byte lanes, up to 4096 of them per chunk. Lane column j
+- Inputs of 32 lanes (6 KiB) or more take the lane path. Whole chunks
+  of up to 4096 lanes of 192 bytes are walked while at least 32 lanes
+  remain; fewer leftover lanes go to the parity spans. Lane column j
   (`chunk[j::192]`), the byte at distance 191 - j from each lane's end,
   is translated through the four byte planes of T_{191-j} with
   `bytes.translate`, and the planes of all lanes are xored into one int:
@@ -43,10 +40,11 @@ distance to the end of the run, never on the bytes before it.
   `crc32_combine` idea (M. Adler) and the folding of Gopal et al., "Fast
   CRC Computation for Generic Polynomials Using PCLMULQDQ" (Intel, 2009).
 
-Every table is built at import from `_T0`: the per-column tables one zero
-byte at a time (T_{d+1}[v] = Z_1(T_d[v])), Z_192 from the first four of
-them (Z_192(v << 8k) = T_{191-k}[v]), and the masks by applying Z_192 to
-the column tables' entries for single-bit bytes.
+Every table is built at import from `_T0`, one zero byte at a time
+(T_{d+1}[v] = Z_1(T_d[v]) = _T0[T_d[v] & 0xFF] ^ (T_d[v] >> 8)): the
+per-column tables for all 256 byte values at once, Z_192 from the first
+four of them (Z_192(v << 8k) = T_{191-k}[v]), and the masks from the
+single-bit bytes 1 << b stepped through 767 zero bytes.
 """
 
 import struct
@@ -58,41 +56,25 @@ _LANE = 192  # keeps the column tables, fold tables and masks under 320 KiB
 _CHUNK_LANES = 4096
 _MIN_LANES = 32  # below this the parity path is the faster one
 _SPAN = 4 * _LANE
-_MIN_PARITY = 72  # below this the byte loop is the faster one
+_MIN_PARITY = 48  # below this the byte loop is the faster one
 
 
-def _build_tables() -> list[list[int]]:
-    tables = [[0] * 256 for _ in range(8)]
-    t0 = tables[0]
+def _build_table() -> list[int]:
+    table = []
     for i in range(256):
         c = i
         for _ in range(8):
             c = (c >> 1) ^ _POLY if c & 1 else c >> 1
-        t0[i] = c
-    for i in range(256):
-        c = t0[i]
-        for k in range(1, 8):
-            c = t0[c & 0xFF] ^ (c >> 8)
-            tables[k][i] = c
-    return tables
+        table.append(c)
+    return table
 
 
-_T0, _T1, _T2, _T3, _T4, _T5, _T6, _T7 = _build_tables()
-
-
-_STEP = struct.Struct("<I4B")
+_T0 = _build_table()
 
 
 def _crc32c_bytewise(data: bytes, crc: int = 0) -> int:
     crc ^= 0xFFFFFFFF
-    view = memoryview(data)
-    end8 = len(view) - len(view) % 8
-    for low, b4, b5, b6, b7 in _STEP.iter_unpack(view[:end8]):
-        crc ^= low
-        crc = (_T7[crc & 0xFF] ^ _T6[(crc >> 8) & 0xFF]
-               ^ _T5[(crc >> 16) & 0xFF] ^ _T4[crc >> 24]
-               ^ _T3[b4] ^ _T2[b5] ^ _T1[b6] ^ _T0[b7])
-    for byte in view[end8:]:
+    for byte in data:
         crc = _T0[(crc ^ byte) & 0xFF] ^ (crc >> 8)
     return crc ^ 0xFFFFFFFF
 
@@ -124,29 +106,18 @@ _COLUMNS = _build_columns()
 _Z0, _Z1, _Z2, _Z3 = (list(_registers(b"".join(_COLUMNS[k]), 256)) for k in range(4))
 
 
-def _append_zero_lane(planes: list[bytes]) -> list[bytes]:
-    """Z_LANE of registers held as four byte planes."""
-    out = [0] * 4
-    for plane, z_tables in zip(planes, _COLUMNS):
-        for k in range(4):
-            out[k] ^= int.from_bytes(plane.translate(z_tables[k]), "little")
-    return [o.to_bytes(len(planes[0]), "little") for o in out]
-
-
 def _build_masks() -> tuple[int, ...]:
     """M_31 .. M_0 over a span of _SPAN bytes."""
-    # plane k of T_d[1 << b] for b = 0..7 in turn, each over d = _LANE-1 .. 0;
-    # each lane inserted in front is one lane farther from the span's end
-    stacked = (b"".join(column[k] for column in _COLUMNS) for k in range(4))
-    lanes = [[b"".join(plane[1 << b::256] for b in range(8)) for plane in stacked]]
-    while len(lanes) * _LANE < _SPAN:
-        lanes.insert(0, _append_zero_lane(lanes[0]))
     ones = int.from_bytes(b"\x01" * _SPAN, "big")
     masks = [0] * 32
     for b in range(8):
-        cut = slice(b * _LANE, (b + 1) * _LANE)
+        regs = [_T0[1 << b]]  # T_d[1 << b] for d = 0 .. _SPAN-1
+        for _ in range(_SPAN - 1):
+            c = regs[-1]
+            regs.append(_T0[c & 0xFF] ^ (c >> 8))
+        packed = struct.pack(f"<{_SPAN}I", *regs)
         for k in range(4):
-            plane = int.from_bytes(b"".join(planes[k][cut] for planes in lanes), "big")
+            plane = int.from_bytes(packed[k::4], "little")  # byte d at bit 8d
             for t in range(8):
                 masks[8 * k + t] |= ((plane >> t) & ones) << b
     return tuple(reversed(masks))
@@ -181,9 +152,12 @@ def _fold_chunk(chunk: bytes, lanes: int, reg: int) -> int:
 
 def crc32c(data: bytes, crc: int = 0) -> int:
     """The CRC-32C of `data`, continued from `crc`, the CRC-32C of the bytes
-    before it: crc32c(b + c) == crc32c(c, crc32c(b))."""
+    before it: crc32c(b + c) == crc32c(c, crc32c(b)). A memoryview counts
+    by its bytes, whatever its item format; a non-contiguous one is refused."""
     if not 0 <= crc <= 0xFFFFFFFF:
         raise ValueError(f"crc {crc!r} is outside 0..0xFFFFFFFF")
+    if isinstance(data, memoryview):
+        data = data.cast("B")
     n = len(data)
     if n < _MIN_PARITY:
         return _crc32c_bytewise(data, crc)
@@ -191,15 +165,12 @@ def crc32c(data: bytes, crc: int = 0) -> int:
     reg = crc ^ 0xFFFFFFFF
     pos = 0
     lanes_left = n // _LANE
-    if lanes_left >= _MIN_LANES:
-        while lanes_left:
-            lanes = min(lanes_left, _CHUNK_LANES)
-            if 0 < lanes_left - lanes < _MIN_LANES:
-                lanes -= _MIN_LANES  # a last chunk of fewer lanes would be slow
-            end = pos + lanes * _LANE
-            reg = _fold_chunk(bytes(view[pos:end]), lanes, reg)
-            pos = end
-            lanes_left -= lanes
+    while lanes_left >= _MIN_LANES:
+        lanes = min(lanes_left, _CHUNK_LANES)
+        end = pos + lanes * _LANE
+        reg = _fold_chunk(bytes(view[pos:end]), lanes, reg)
+        pos = end
+        lanes_left -= lanes
     while n - pos >= _MIN_PARITY:
         end = min(pos + _SPAN, n)
         reg = _parity_span(view[pos:end], reg)

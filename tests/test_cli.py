@@ -18,7 +18,7 @@ from provrun import (
     write_container,
 )
 from provrun.cli import EXIT_ERROR, EXIT_OK, EXIT_VERIFY, main
-from provrun.errors import AlgorithmFailure
+from provrun.errors import AlgorithmFailure, OptionsError
 
 from helpers import FailingFile, demo_config
 from test_core import BUGS, MISFITS, buggy_catalogue, buggy_config, misfit_catalogue, misfit_config
@@ -81,6 +81,21 @@ def test_run_reports_syntax_error_position(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 2" in err
     assert "column" in err
+
+
+@pytest.mark.parametrize("edit", [lambda text: text.replace("\n", "\r\n"),
+                                  lambda text: text.replace('"v7r2"', '"v7\rr2"')],
+                         ids=["crlf_line_endings", "raw_cr_in_a_string"])
+def test_run_reads_the_config_bytes_without_newline_translation(tmp_path, capsys, edit):
+    out = tmp_path / "out.pdc"
+    text = edit(emit_canonical(demo_config(out, ApplicationMgr__AppVersion="v7r2")))
+    with pytest.raises(OptionsError) as refused:
+        parse_options(text)
+    path = tmp_path / "cr.opts"
+    path.write_bytes(text.encode("utf-8"))
+    assert main(["run", str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_run_into_a_missing_directory_fails_finalize(tmp_path, capsys, monkeypatch):

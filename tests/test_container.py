@@ -429,7 +429,9 @@ def test_events_codec_roundtrip():
         rows = [tuple(rnd.random() for _ in names) for _ in range(rnd.randrange(6))]
         if not names:
             rows = []
-        assert decode_events(encode_events(names, rows)) == (names, rows)
+        encoded = encode_events(names, rows)
+        for form in (encoded, memoryview(encoded)):
+            assert decode_events(form) == (names, rows)
 
 
 # integers as well as floats: a decoded cell is a float whatever was encoded
@@ -464,7 +466,8 @@ def test_events_codec_is_a_byte_fixpoint(names, cells):
     # raw cell bytes, so -0.0 and NaN payloads are compared as stored
     whole_rows = len(cells) - len(cells) % len(names) if names else 0
     encoded = encode_events(names, []) + b"".join(cells[:whole_rows])
-    assert encode_events(*decode_events(encoded)) == encoded
+    for form in (encoded, memoryview(encoded)):
+        assert encode_events(*decode_events(form)) == encoded
 
 
 def test_events_codec_refuses_a_field_named_twice():

@@ -72,8 +72,8 @@ def test_table_loop_matches_the_bit_loop(data, crc):
     assert _crc32c_bytewise(data, crc) == _crc32c_bitwise(data, crc)
 
 
-# Lengths: below, at and above the 64-lane threshold; up to a few MB, where
-# the input spans several 1 MiB chunks of 512-byte lanes.
+# Lengths: up to 40 KiB, across the parity and lane thresholds; up to a few
+# MB, where the input spans several chunks of 4096 lanes (768 KiB each).
 _lengths = st.one_of(st.integers(0, 40 * KIB), st.integers(32 * KIB, 5 * MIB // 2))
 _crcs = st.integers(0, 0xFFFFFFFF)
 _seeds = st.integers(0, 2**32 - 1)
@@ -92,7 +92,7 @@ _seeds = st.integers(0, 2**32 - 1)
 @example(n=MIB + 1, seed=9, crc=0)
 @example(n=2 * MIB, seed=10, crc=0)
 @example(n=1_234_567, seed=11, crc=0x0BADF00D)
-@example(n=2_100_003, seed=12, crc=0)  # 4101 lanes: the last chunk is shortened
+@example(n=2_100_003, seed=12, crc=0)  # 10,937 lanes: two whole chunks and one of 2745
 def test_crc32c_matches_bytewise_reference(n, seed, crc):
     data = _data(n, seed)
     expected = _crc32c_bytewise(data, crc)
@@ -130,9 +130,11 @@ _THRESHOLDS = {
                        for r in (_MIN_PARITY - 1, _MIN_PARITY, _LANE - 1)],
     "chunk": [_CHUNK_LANES * _LANE + d for d in (-1, 0, 1)]
     + [(_CHUNK_LANES + 1) * _LANE],
-    # fewer than _MIN_LANES lanes past a whole chunk shorten the first chunk
+    # fewer than _MIN_LANES lanes left after whole chunks go to the parity
+    # spans; _MIN_LANES or more make one more chunk
     "short_last_chunk": [(_CHUNK_LANES + _MIN_LANES - 1) * _LANE + 5,
-                         (_CHUNK_LANES + _MIN_LANES) * _LANE],
+                         (_CHUNK_LANES + _MIN_LANES) * _LANE]
+    + [(_CHUNK_LANES + _MIN_LANES - 1) * _LANE + r for r in (0, _MIN_PARITY - 1, _LANE - 1)],
 }
 _INITIAL_CRC = 0x1EDC6F41
 
@@ -176,11 +178,31 @@ def test_crc32c_chains_across_a_split_inside_a_parity_span(split, rest, seed):
     assert crc32c(data) == expected
 
 
-@pytest.mark.parametrize("n", [3, _MIN_PARITY, _MIN_LANES * _LANE])
+# one length on each path: the byte loop, the parity spans, the lanes
+@pytest.mark.parametrize("n", [3, 72, _MIN_LANES * _LANE])
 @pytest.mark.parametrize("crc", [-1, -0xFFFFFFFF, 1 << 32, 1 << 64])
 def test_a_crc_outside_32_bits_is_refused_on_every_path(n, crc):
     with pytest.raises(ValueError, match="outside 0..0xFFFFFFFF"):
         crc32c(bytes(n), crc)
+
+
+_VIEW_LENGTHS = pytest.mark.parametrize(
+    "n", [_MIN_PARITY - 8, 8 * _MIN_PARITY, (_MIN_LANES + 1) * _LANE + 8],
+    ids=["byte_loop", "parity", "lanes"])
+
+
+@_VIEW_LENGTHS
+@pytest.mark.parametrize("fmt", ["I", "d"])
+def test_a_memoryview_is_checksummed_by_its_bytes_whatever_its_format(fmt, n):
+    data = _data(n, 31)
+    view = memoryview(data).cast(fmt)
+    assert crc32c(view, _INITIAL_CRC) == _crc32c_bitwise(data, _INITIAL_CRC)
+
+
+@_VIEW_LENGTHS
+def test_a_strided_memoryview_is_refused_on_every_path(n):
+    with pytest.raises(TypeError, match="C-contiguous"):
+        crc32c(memoryview(bytes(2 * n))[::2])
 
 
 def test_the_kernel_tables_stay_small():
