@@ -5,7 +5,6 @@ inspect, diff, and byte-identically reproduce the job that made it."""
 from .container import ContainerReader, extract_info, read_block, write_container
 from .core import (
     ApplicationMgr,
-    Catalogue,
     Job,
     JobReport,
     PhaseStatus,
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApplicationMgr",
-    "Catalogue",
     "ContainerReader",
     "DiffReport",
     "Job",

@@ -1,69 +1,61 @@
 """Component model: named, configurable pieces of a job.
 
-A component declares its properties (name, kind, default) as a class-level
-table; instances carry per-job resolved values. Before initialize the
-resolved value of every property equals its default; option application
-replaces it, and the provenance capture later snapshots whatever is
-resolved at finalize time.
+A component class is the one description of a component: its `__name__`
+is the name the config, the capture and replay know it by, and its
+`PROPERTIES` table of (name, kind, default) rows is resolved once, when
+the class is made, into `kinds` and `defaults`. A `Class.Prop` that is not
+a valid options key, or a default not of its kind, fails the class's
+creation. An instance holds only `values`, a copy of the defaults, which
+option application replaces and the capture snapshots at finalize.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import KindMismatch, UnknownProperty
-from .options import Kind, KindSpec, OptionValue
-
-
-@dataclass
-class PropertySpec:
-    """A declared property and its currently resolved value."""
-
-    name: str
-    kind_spec: KindSpec
-    default: OptionValue
-    applied: OptionValue = field(init=False)
-
-    def __post_init__(self):
-        if not self.kind_spec.admits(self.default):
-            raise KindMismatch(f"default for {self.name!r} is not "
-                               f"{self.kind_spec.label()}")
-        self.applied = self.default
-
-    def apply(self, value: OptionValue) -> None:
-        if not self.kind_spec.admits(value):
-            raise KindMismatch(f"property {self.name!r} wants "
-                               f"{self.kind_spec.label()}, got {value.kind.value}")
-        self.applied = value
-
-
-# property tables are (name, kind-or-kindspec, default) rows
-def _as_kind_spec(kind) -> KindSpec:
-    return kind if isinstance(kind, KindSpec) else KindSpec(kind)
+from .options import Kind, KindSpec, OptionKey, OptionValue
 
 
 class Component:
     """Base for algorithms, services, and tools."""
 
     PROPERTIES: tuple = ()
+    kinds: dict[str, KindSpec] = {}
+    defaults: dict[str, OptionValue] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.kinds, cls.defaults = {}, {}
+        for prop_name, kind, default in cls.PROPERTIES:
+            OptionKey(cls.__name__, prop_name)  # refuses a bad key segment
+            spec = kind if isinstance(kind, KindSpec) else KindSpec(kind)
+            value = OptionValue.of(default)
+            if not spec.admits(value):
+                raise KindMismatch(f"default for {prop_name!r} is not {spec.label()}")
+            cls.kinds[prop_name], cls.defaults[prop_name] = spec, value
 
     def __init__(self):
         self.name = type(self).__name__
-        self.specs: dict[str, PropertySpec] = {}
-        for prop_name, kind, default in self.PROPERTIES:
-            self.specs[prop_name] = PropertySpec(prop_name, _as_kind_spec(kind),
-                                                 OptionValue.of(default))
+        self.values: dict[str, OptionValue] = dict(self.defaults)
 
-    def spec(self, prop_name: str) -> PropertySpec:
-        try:
-            return self.specs[prop_name]
-        except KeyError:
-            raise UnknownProperty(f"component {self.name!r} has no property "
-                                  f"{prop_name!r}") from None
+    def _no_property(self, prop_name: str) -> UnknownProperty:
+        return UnknownProperty(f"component {self.name!r} has no property {prop_name!r}")
+
+    def apply(self, prop_name: str, value: OptionValue) -> None:
+        """Resolve a declared property to `value`, which must fit its kind."""
+        kind = self.kinds.get(prop_name)
+        if kind is None:
+            raise self._no_property(prop_name)
+        if not kind.admits(value):
+            raise KindMismatch(f"property {prop_name!r} wants {kind.label()}, "
+                               f"got {value.kind.value}")
+        self.values[prop_name] = value
 
     def value(self, prop_name: str):
         """Resolved plain-Python value of a property."""
-        return self.spec(prop_name).applied.python()
+        value = self.values.get(prop_name)
+        if value is None:
+            raise self._no_property(prop_name)
+        return value.python()
 
     def __repr__(self):
         return f"<{self.name}>"

@@ -2,15 +2,18 @@
 initialize / execute / finalize phases over the services and the algorithm
 chain, and triggers provenance capture and persistency at the end.
 
-A component's one name is its class name, which is also its catalogue key;
-the build refuses a catalogue that breaks this. One name table,
-`Job.components` (manager, services in start order, algorithms, then tools
-as they are retrieved), is the job's only table of instances: an assignment
-reaches what is captured, and replay finds it under the same name.
+A catalogue is a collection of component classes: a class is known by
+its `__name__`, and may go in `TopAlg` if an `Algorithm`, in `Services` if
+a `Service`, and is a tool otherwise. The build refuses a catalogue that
+lists a name twice or names a standard service. One name table,
+`Job.components` (manager, services in start order, algorithms, then
+tools as they are retrieved), is the job's only table of instances: an
+assignment reaches what is captured, and replay finds it under the same name.
 
-Phase contract: initialize precedes execute precedes finalize, and finalize
-runs exactly once per job no matter how execute ends. Two runs of the same
-config produce byte-identical output containers.
+Phase contract: initialize precedes execute precedes finalize, each runs
+at most once per job, and finalize runs no matter how execute ends. A job
+has succeeded once all three are OK. Two runs of the same config produce
+byte-identical output containers.
 
 Execute chains the algorithms' `stream` stages, source first, and hands
 the last one to the writer, which packs each row that leaves the chain into
@@ -22,14 +25,14 @@ with every row kept before it in the output.
 
 from __future__ import annotations
 
-import contextlib
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
-from typing import Iterator, Optional
+from typing import Iterable, Optional
 
-from . import algorithms as demo_algorithms
-from .algorithms import Algorithm, DemoTool, EventSource
+from .algorithms import (Accumulator, Algorithm, DemoTool, EventSource, FileEventSource,
+                         RandomEventSource, ThresholdFilter)
 from .components import Component, LIST_OF_TEXT
 from .errors import (
     AlgorithmFailure,
@@ -76,7 +79,8 @@ class JobReport:
 
     @property
     def succeeded(self) -> bool:
-        return all(status is PhaseStatus.OK for status in self.phases.values())
+        return all(self.phases.get(phase) is PhaseStatus.OK
+                   for phase in ("initialize", "execute", "finalize"))
 
 
 class ApplicationMgr(Component):
@@ -91,35 +95,52 @@ class ApplicationMgr(Component):
     )
 
 
-@dataclass
-class Catalogue:
-    """Available component classes, each keyed by its own `__name__`: the
-    one name the config, the capture and replay know it by."""
-
-    algorithms: dict[str, type]
-    services: dict[str, type]
-    tools: dict[str, type]
+def standard_catalogue() -> tuple[type[Component], ...]:
+    return (RandomEventSource, FileEventSource, ThresholdFilter, Accumulator,
+            MetaDataSvc, DemoTool)
 
 
-def standard_catalogue() -> Catalogue:
-    return Catalogue(
-        algorithms={
-            "RandomEventSource": demo_algorithms.RandomEventSource,
-            "FileEventSource": demo_algorithms.FileEventSource,
-            "ThresholdFilter": demo_algorithms.ThresholdFilter,
-            "Accumulator": demo_algorithms.Accumulator,
-        },
-        services={METADATA_SERVICE: MetaDataSvc},
-        tools={"DemoTool": DemoTool},
-    )
+def _is_tool(factory: Optional[type]) -> bool:
+    return factory is not None and not issubclass(factory, (Algorithm, Service))
+
+
+def _phase(body):
+    """Make `body` a job phase: it runs at most once, and a repeated call
+    returns the status it recorded, the one `body` returns or else OK. An
+    exception fails the phase, and the job's first failure is kept in
+    `failure` and `report.error`. An exception that is not a ProvrunError
+    is a bug in a component; it becomes an AlgorithmFailure naming its
+    type, with the original as its cause."""
+    name = body.__name__
+
+    @functools.wraps(body)
+    def phase(job: Job) -> PhaseStatus:
+        if name in job.report.phases:
+            return job.report.phases[name]
+        try:
+            status = body(job) or PhaseStatus.OK
+        except Exception as exc:
+            if not isinstance(exc, ProvrunError):
+                failure = AlgorithmFailure(f"{type(exc).__name__}: {exc}")
+                failure.__cause__ = exc
+                exc = failure
+            if job.failure is None:
+                job.failure = exc
+                job.report.error = f"{name}: {exc}"
+            job.msg.log(LEVEL_ERROR, "ApplicationMgr", f"{name} failed: {exc}")
+            status = PhaseStatus.FAILED
+        job.report.phases[name] = status
+        return status
+
+    return phase
 
 
 class Job:
     """A built job: components instantiated, ready to run its three phases."""
 
-    def __init__(self, config: OptionsSet, catalogue: Catalogue):
+    def __init__(self, config: OptionsSet):
         self.config = config
-        self.catalogue = catalogue
+        self.catalogue: dict[str, type[Component]] = {}
         self.app = ApplicationMgr()
         self.msg = MessageSvc()
         self.options_svc = JobOptionsSvc()
@@ -135,33 +156,25 @@ class Job:
 
     # --- wiring ---------------------------------------------------------
 
-    def _build(self) -> None:
+    def _build(self, catalogue: Iterable[type[Component]]) -> None:
         standard = [self.msg, self.options_svc, ToolSvc(), self.events,
                     self.writer]
         for component in (self.app, *standard):
             self._add(component)
-        names = list(self.components)
-        for table in (self.catalogue.algorithms, self.catalogue.services,
-                      self.catalogue.tools):
-            for name, factory in table.items():
-                if name in _RESERVED_NAMES:
-                    raise InvalidConfiguration(
-                        f"component name {name!r} collides with a reserved namespace")
-                if name != factory.__name__:
-                    raise DuplicateComponent(
-                        f"catalogue key {name!r} is not its class's name "
-                        f"{factory.__name__!r}")
-                names.append(name)
-        if len(names) != len(set(names)):
-            raise DuplicateComponent(
-                "the catalogue lists a name twice or names a standard component")
+        for factory in catalogue:
+            name = factory.__name__
+            if name in _RESERVED_NAMES:
+                raise InvalidConfiguration(
+                    f"component name {name!r} collides with a reserved namespace")
+            if name in self.catalogue or name in self.components:
+                raise DuplicateComponent(
+                    "the catalogue lists a name twice or names a standard component")
+            self.catalogue[name] = factory
         # always-on services may be named redundantly
         self.registry = standard + self._instantiate(
-            "Services", "service", self.catalogue.services,
-            skip={svc.name for svc in standard})
+            "Services", "service", Service, skip={svc.name for svc in standard})
         self.metadata_svc = self.components.get(METADATA_SERVICE)
-        self.algorithms = self._instantiate("TopAlg", "algorithm",
-                                            self.catalogue.algorithms)
+        self.algorithms = self._instantiate("TopAlg", "algorithm", Algorithm)
         for alg in self.algorithms[1:]:
             if isinstance(alg, EventSource):
                 raise InvalidConfiguration(
@@ -171,12 +184,12 @@ class Job:
         self.components[component.name] = component
         return component
 
-    def _instantiate(self, prop: str, kind: str, factories: dict[str, type],
+    def _instantiate(self, prop: str, kind: str, base: type,
                      skip: set[str] = frozenset()) -> list[Component]:
-        """One instance per name in ApplicationMgr.`prop`, except the `skip` names."""
+        """One `base` instance per name in ApplicationMgr.`prop`, bar the `skip` names."""
         value = self.config.get(f"ApplicationMgr.{prop}")
         if value is not None:
-            self.app.spec(prop).apply(value)
+            self.app.apply(prop, value)
         names = self.app.value(prop)
         if len(set(names)) != len(names):
             raise DuplicateComponent(f"ApplicationMgr.{prop} lists a name twice")
@@ -184,14 +197,14 @@ class Job:
         for name in names:
             if name in skip:
                 continue
-            factory = factories.get(name)
-            if factory is None:
+            factory = self.catalogue.get(name)
+            if factory is None or not issubclass(factory, base):
                 raise UnknownComponent(f"no {kind} named {name!r} in the catalogue")
             instances.append(self._add(factory()))
         return instances
 
     def find_component(self, name: str) -> Optional[Component]:
-        if name in self.catalogue.tools:
+        if _is_tool(self.catalogue.get(name)):
             # assigning to a catalogued tool instantiates it, so its resolved
             # configuration is part of the capture
             return self.tool(name)
@@ -200,97 +213,68 @@ class Job:
     def tool(self, name: str) -> Component:
         """The one instance of catalogued tool `name`; its first retrieval
         enters it in the name table."""
-        factory = self.catalogue.tools.get(name)
-        if factory is None:
+        factory = self.catalogue.get(name)
+        if not _is_tool(factory):
             raise UnknownTool(f"no tool named {name!r} in the catalogue")
-        tool = self.components.get(name)
-        return tool if tool is not None else self._add(factory())
+        return self.components.get(name) or self._add(factory())
 
     # --- phases -----------------------------------------------------------
 
-    @contextlib.contextmanager
-    def _phase(self, name: str) -> Iterator[None]:
-        """Run one phase's body and set its status: an exception fails the
-        phase, and the job's first failure is kept in `failure` and
-        `report.error`. An exception that is not a ProvrunError is a bug in
-        a component; it becomes an AlgorithmFailure naming its type, with
-        the original as its cause."""
-        try:
-            yield
-        except Exception as exc:
-            if not isinstance(exc, ProvrunError):
-                failure = AlgorithmFailure(f"{type(exc).__name__}: {exc}")
-                failure.__cause__ = exc
-                exc = failure
-            if self.failure is None:
-                self.failure = exc
-                self.report.error = f"{name}: {exc}"
-            self.msg.log(LEVEL_ERROR, "ApplicationMgr", f"{name} failed: {exc}")
-            self.report.phases[name] = PhaseStatus.FAILED
-        else:
-            self.report.phases[name] = PhaseStatus.OK
+    @_phase
+    def initialize(self) -> None:
+        self.options_svc.apply_all(self)
+        for svc in self.registry:
+            svc.start(self)
+        for alg in self.algorithms:
+            alg.start(self)  # sources read and verify their inputs here
+        self.lineage.check_declared_were_read()
+        self.msg.log(LEVEL_INFO, "ApplicationMgr",
+                     f"initialized {len(self.algorithms)} algorithm(s), "
+                     f"{len(self.registry)} service(s)")
 
-    def initialize(self) -> PhaseStatus:
-        with self._phase("initialize"):
-            self.options_svc.apply_all(self)
-            for svc in self.registry:
-                svc.start(self)
-            for alg in self.algorithms:
-                alg.start(self)  # sources read and verify their inputs here
-            self.lineage.check_declared_were_read()
-            self.msg.log(LEVEL_INFO, "ApplicationMgr",
-                         f"initialized {len(self.algorithms)} algorithm(s), "
-                         f"{len(self.registry)} service(s)")
-        return self.report.phases["initialize"]
-
-    def execute(self) -> PhaseStatus:
+    @_phase
+    def execute(self) -> Optional[PhaseStatus]:
         if self.report.phases.get("initialize") is not PhaseStatus.OK:
-            self.report.phases["execute"] = PhaseStatus.SKIPPED
             return PhaseStatus.SKIPPED
-        with self._phase("execute"):
-            event, planned = self.events, 0
-            source = self.algorithms[0] if self.algorithms else None
-            if isinstance(source, EventSource):
-                planned = source.plan(self)
-                event.fields = list(source.fields)
-            for alg in self.algorithms:
-                alg.bind(event)
-            rows = repeat((), planned)  # the source makes each event's row
-            for alg in self.algorithms:
-                rows = alg.stream(self, event, rows)
-            kept = self.writer.kept
-            written = kept.count
-            try:
-                # draws the events through every stage, one at a time
-                self.writer.keep(rows, len(event.fields))
-            except BaseException:
-                planned = event.index  # the event in flight is not seen
-                raise
-            finally:  # exact counts even when an algorithm raises
-                self.report.events_seen += planned
-                self.report.events_written += kept.count - written
-            self.msg.log(LEVEL_INFO, "ApplicationMgr",
-                         f"processed {self.report.events_seen} event(s), "
-                         f"kept {self.report.events_written}")
-        return self.report.phases["execute"]
+        event, planned = self.events, 0
+        source = self.algorithms[0] if self.algorithms else None
+        if isinstance(source, EventSource):
+            planned = source.plan(self)
+            event.fields = list(source.fields)
+        for alg in self.algorithms:
+            alg.bind(event)
+        rows = repeat((), planned)  # the source makes each event's row
+        for alg in self.algorithms:
+            rows = alg.stream(self, event, rows)
+        kept = self.writer.kept
+        written = kept.count
+        try:
+            # draws the events through every stage, one at a time
+            self.writer.keep(rows, len(event.fields))
+        except BaseException:
+            planned = event.index  # the event in flight is not seen
+            raise
+        finally:  # exact counts even when an algorithm raises
+            self.report.events_seen += planned
+            self.report.events_written += kept.count - written
+        self.msg.log(LEVEL_INFO, "ApplicationMgr",
+                     f"processed {self.report.events_seen} event(s), "
+                     f"kept {self.report.events_written}")
 
-    def finalize(self) -> PhaseStatus:
-        if "finalize" in self.report.phases:  # runs exactly once per job
-            return self.report.phases["finalize"]
-        with self._phase("finalize"):
-            stop_error: Optional[Exception] = None
-            try:
-                if self.report.phases.get("initialize") is PhaseStatus.OK:
-                    self._persist()
-            finally:  # stop every service; a _persist error outranks any stop's
-                for svc in reversed(self.registry):
-                    try:
-                        svc.stop(self)
-                    except Exception as exc:
-                        stop_error = stop_error or exc
-            if stop_error is not None:
-                raise stop_error
-        return self.report.phases["finalize"]
+    @_phase
+    def finalize(self) -> None:
+        stop_error: Optional[Exception] = None
+        try:
+            if self.report.phases.get("initialize") is PhaseStatus.OK:
+                self._persist()
+        finally:  # stop every service; a _persist error outranks any stop's
+            for svc in reversed(self.registry):
+                try:
+                    svc.stop(self)
+                except Exception as exc:
+                    stop_error = stop_error or exc
+        if stop_error is not None:
+            raise stop_error
 
     def _persist(self) -> None:
         """Finish the algorithms, capture the provenance, write the output."""
@@ -316,15 +300,18 @@ class Job:
         return self.report
 
 
-def build_job(config: OptionsSet, catalogue: Optional[Catalogue] = None) -> Job:
-    """Instantiate the configured components; properties stay at defaults
-    until initialize applies the assignments."""
-    job = Job(config, catalogue or standard_catalogue())
-    job._build()
+def build_job(config: OptionsSet,
+              catalogue: Optional[Iterable[type[Component]]] = None) -> Job:
+    """Instantiate the configured components of `catalogue`, a collection
+    of component classes (the standard one by default); properties stay at
+    defaults until initialize applies the assignments."""
+    job = Job(config)
+    job._build(standard_catalogue() if catalogue is None else catalogue)
     return job
 
 
-def run_job(config: OptionsSet, catalogue: Optional[Catalogue] = None) -> Job:
+def run_job(config: OptionsSet,
+            catalogue: Optional[Iterable[type[Component]]] = None) -> Job:
     """Build and run all three phases; the report is on the returned job."""
     job = build_job(config, catalogue)
     job.run()

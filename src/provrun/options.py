@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping, Optional, Union
 
-from .errors import InvalidOptionValue, OptionsSyntaxError
+from .errors import InvalidOptionValue, KindMismatch, OptionsSyntaxError
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -151,22 +151,25 @@ class OptionValue:
 
 @dataclass(frozen=True)
 class KindSpec:
-    """Declared kind of a component property; lists carry an element kind."""
+    """Declared kind of a component property; a list, and only a list,
+    carries the scalar kind of its elements."""
 
     kind: Kind
     elem: Optional[Kind] = None
 
+    def __post_init__(self):
+        if self.kind is not Kind.LIST:
+            if self.elem is not None:
+                raise KindMismatch(f"a {self.kind.value} kind takes no element kind")
+        elif self.elem in (None, Kind.LIST):
+            raise KindMismatch("a list kind needs a scalar element kind")
+
     def admits(self, value: OptionValue) -> bool:
-        if value.kind is not self.kind:
-            return False
-        if self.kind is Kind.LIST and value.value:
-            return value.elem_kind is self.elem
-        return True
+        """Whether `value` is of this kind; an empty list fits any list kind."""
+        return value.kind is self.kind and (value.elem_kind is self.elem or not value.value)
 
     def label(self) -> str:
-        if self.kind is Kind.LIST:
-            return f"list of {self.elem.value}" if self.elem else "list"
-        return self.kind.value
+        return f"list of {self.elem.value}" if self.elem else self.kind.value
 
 
 @dataclass(frozen=True, slots=True)

@@ -50,8 +50,8 @@ class MetaDataSvc(Service):
     def collect_data(self, job) -> MetadataDictionary:
         snapshot = OptionsSet()
         for component in job.components.values():
-            for spec in component.specs.values():
-                snapshot.set(OptionKey(component.name, spec.name), spec.applied)
+            for prop_name, value in component.values.items():
+                snapshot.set(OptionKey(component.name, prop_name), value)
         for key, value in job.lineage.items():
             snapshot.set(key, value)
         return MetadataDictionary(snapshot)

@@ -132,7 +132,7 @@ class JobOptionsSvc(Service):
                 if target is None:
                     raise UnknownComponent(
                         f"assignment {key.text} names no component in this job")
-                target.spec(key.prop).apply(value)
+                target.apply(key.prop, value)
             self.applied_log.append((key, value))
         return list(self.applied_log)
 

@@ -6,7 +6,10 @@ import pytest
 
 from provrun import (
     Kind,
+    KindSpec,
+    MetaDataSvc,
     OptionsSet,
+    OptionValue,
     PhaseStatus,
     build_job,
     extract_info,
@@ -15,14 +18,19 @@ from provrun import (
     run_job,
     standard_catalogue,
 )
-from provrun.algorithms import Algorithm, DemoTool
+from provrun.algorithms import Algorithm, DemoTool, RandomEventSource, ThresholdFilter
+from provrun.cli import EXIT_OK, main
+from provrun.components import Component
 from provrun.errors import (
     AlgorithmFailure,
     DuplicateComponent,
     InvalidConfiguration,
+    InvalidOptionValue,
     KindMismatch,
     MissingInfo,
     UnknownComponent,
+    UnknownProperty,
+    UnknownTool,
     WriteFailure,
 )
 from provrun.events import decode_events
@@ -58,67 +66,50 @@ def test_build_duplicate_algorithm():
         build_job(config)
 
 
-def _alias_catalogue():
-    catalogue = standard_catalogue()
-    catalogue.algorithms["LowCut"] = catalogue.algorithms["ThresholdFilter"]
-    return catalogue, ("RandomEventSource", "ThresholdFilter", "LowCut")
-
-
-def _shadow_catalogue():
-    catalogue = standard_catalogue()
-    catalogue.algorithms["MessageSvc"] = type("MessageSvc", (Algorithm,), {})
-    return catalogue, ("RandomEventSource", "MessageSvc")
-
-
-def _tool_shadow_catalogue():
-    catalogue = standard_catalogue()
-    catalogue.tools["MessageSvc"] = catalogue.tools["DemoTool"]
-    return catalogue, ("RandomEventSource",)
-
-
-def _lone_alias_catalogue():
-    catalogue = standard_catalogue()
-    catalogue.algorithms["LowCut"] = catalogue.algorithms.pop("ThresholdFilter")
-    return catalogue, ("RandomEventSource", "LowCut")
-
-
-def _lone_tool_alias_catalogue():
-    catalogue = standard_catalogue()
-    catalogue.tools = {"Amp": DemoTool}
-    return catalogue, ("RandomEventSource",)
-
-
-def _service_shadow_catalogue():
-    catalogue = standard_catalogue()
-    catalogue.services["MessageSvc"] = type("MessageSvc", (Service,), {})
-    return catalogue, ("RandomEventSource",)
-
-
-@pytest.mark.parametrize("make_catalogue",
-                         [_alias_catalogue, _shadow_catalogue, _tool_shadow_catalogue,
-                          _lone_alias_catalogue, _lone_tool_alias_catalogue,
-                          _service_shadow_catalogue],
-                         ids=["two-keys-one-class", "algorithm-named-like-a-service",
-                              "tool-named-like-a-service", "lone-algorithm-alias",
-                              "lone-tool-alias", "service-named-like-a-service"])
-def test_build_rejects_two_components_of_one_name(make_catalogue):
+@pytest.mark.parametrize("base", [Algorithm, Component, Service],
+                         ids=["algorithm-named-like-a-service", "tool-named-like-a-service",
+                              "service-named-like-a-service"])
+def test_build_rejects_two_components_of_one_name(base):
     # an assignment to the shared name would reach only one of them, while
-    # the capture would record both under that name; a lone alias answers
-    # to its key in TopAlg but to its class name in assignments and capture
-    catalogue, algorithms = make_catalogue()
-    config = demo_config("", algorithms=algorithms, ThresholdFilter__Min=0.9)
-    with pytest.raises(DuplicateComponent):
-        build_job(config, catalogue)
+    # the capture would record both under that name
+    catalogue = (*standard_catalogue(), type("MessageSvc", (base,), {}))
+    with pytest.raises(DuplicateComponent, match="names a standard component"):
+        build_job(demo_config(""), catalogue)
 
 
-def test_initialize_rejects_two_tools_of_one_name():
-    # two catalogue keys of one tool class would run two instances named
-    # DemoTool, and the capture would record only one of their Gains; the
-    # catalogue is refused before anything is instantiated
-    catalogue = standard_catalogue()
-    catalogue.tools["Amp"] = catalogue.tools["DemoTool"]
-    with pytest.raises(DuplicateComponent):
-        build_job(demo_config("", Amp__Gain=2.0, DemoTool__Gain=3.0), catalogue)
+@pytest.mark.parametrize("extra", [DemoTool, type("DemoTool", (Component,), {})],
+                         ids=["same-class", "same-name"])
+def test_build_rejects_a_catalogue_that_lists_a_name_twice(extra):
+    with pytest.raises(DuplicateComponent, match="lists a name twice"):
+        build_job(demo_config(""), (*standard_catalogue(), extra))
+
+
+@pytest.mark.parametrize("prop, name, kind", [("TopAlg", "MetaDataSvc", "algorithm"),
+                                              ("TopAlg", "DemoTool", "algorithm"),
+                                              ("Services", "ThresholdFilter", "service"),
+                                              ("Services", "DemoTool", "service")])
+def test_build_rejects_a_component_of_the_wrong_kind(prop, name, kind):
+    config = OptionsSet([(f"ApplicationMgr.{prop}", [name])])
+    with pytest.raises(UnknownComponent,
+                       match=f"no {kind} named '{name}' in the catalogue"):
+        build_job(config)
+
+
+@pytest.mark.parametrize("name", ["ThresholdFilter", "MetaDataSvc", "MessageSvc", "Ghost"])
+def test_only_a_catalogued_tool_is_a_tool(name):
+    job = build_job(demo_config(""))
+    with pytest.raises(UnknownTool, match=f"no tool named '{name}' in the catalogue"):
+        job.tool(name)
+    assert job.tool("DemoTool") is job.tool("DemoTool")
+
+
+def test_a_catalogue_is_any_iterable_of_classes():
+    config = demo_config("", algorithms=("RandomEventSource", "ThresholdFilter"))
+    job = build_job(config, iter([ThresholdFilter, MetaDataSvc, RandomEventSource]))
+    assert [alg.name for alg in job.algorithms] == ["RandomEventSource",
+                                                    "ThresholdFilter"]
+    with pytest.raises(UnknownTool):
+        job.tool("DemoTool")
 
 
 @pytest.mark.parametrize("prop", ["TopAlg", "Services"])
@@ -130,8 +121,7 @@ def test_build_rejects_a_component_list_of_the_wrong_kind(prop, value):
 
 
 def test_build_rejects_reserved_component_name():
-    catalogue = standard_catalogue()
-    catalogue.tools["Provenance"] = type("Provenance", (Algorithm,), {})
+    catalogue = (*standard_catalogue(), type("Provenance", (Algorithm,), {}))
     with pytest.raises(InvalidConfiguration):
         build_job(OptionsSet(), catalogue)
 
@@ -176,9 +166,42 @@ def test_integer_literal_does_not_satisfy_float_property():
 
 
 def test_a_default_that_misfits_its_kind_fails_instantiation():
-    misfit = type("Misfit", (Algorithm,), {"PROPERTIES": (("Gain", Kind.FLOAT, 1),)})
+    # the property table is resolved, and each default checked, when the class is made
     with pytest.raises(KindMismatch, match="default for 'Gain' is not float"):
-        misfit()
+        type("Misfit", (Algorithm,), {"PROPERTIES": (("Gain", Kind.FLOAT, 1),)})
+
+
+@pytest.mark.parametrize("name, prop, bad", [("Zähler", "Min", "Zähler"),
+                                             ("Counter", "Mi-n", "Mi-n"),
+                                             ("Counter", "", "Counter")])
+def test_a_class_whose_key_is_not_an_options_key_fails_its_creation(name, prop, bad):
+    with pytest.raises(InvalidOptionValue, match=repr(bad)):
+        type(name, (Algorithm,), {"PROPERTIES": ((prop, Kind.FLOAT, 0.0),)})
+
+
+@pytest.mark.parametrize("kind, elem, message", [
+    (Kind.LIST, None, "a list kind needs a scalar element kind"),
+    (Kind.LIST, Kind.LIST, "a list kind needs a scalar element kind"),
+    (Kind.FLOAT, Kind.TEXT, "a float kind takes no element kind")])
+def test_a_kind_spec_refuses_a_list_without_a_scalar_element_kind(kind, elem, message):
+    with pytest.raises(KindMismatch, match=message):
+        KindSpec(kind, elem)
+
+
+def test_a_bare_list_kind_in_a_property_table_fails_the_class():
+    with pytest.raises(KindMismatch, match="a list kind needs a scalar element kind"):
+        type("Names", (Algorithm,), {"PROPERTIES": (("Names", Kind.LIST, []),)})
+
+
+def test_a_list_property_admits_lists_of_its_element_kind():
+    names = type("Names", (Algorithm,),
+                 {"PROPERTIES": (("Names", KindSpec(Kind.LIST, Kind.TEXT), []),)})()
+    names.apply("Names", OptionValue.of(["a", "b"]))
+    assert names.value("Names") == ["a", "b"]
+    with pytest.raises(KindMismatch, match="wants list of text, got list"):
+        names.apply("Names", OptionValue.of([1]))
+    with pytest.raises(UnknownProperty, match="no property 'Nmes'"):
+        names.value("Nmes")
 
 
 def test_initialize_defaults_when_unassigned():
@@ -214,9 +237,10 @@ def test_resolved_values_equal_config_or_default():
         job = build_job(config)
         assert job.initialize() is PhaseStatus.OK
         for component in job.components.values():
-            for spec in component.specs.values():
-                expected = config.get(f"{component.name}.{spec.name}", spec.default)
-                assert spec.applied == expected
+            for prop_name, value in component.values.items():
+                expected = config.get(f"{component.name}.{prop_name}",
+                                      component.defaults[prop_name])
+                assert value == expected
 
 
 # --- execute -------------------------------------------------------------------
@@ -284,9 +308,7 @@ class FailAfter(Algorithm):
 
 
 def failing_catalogue():
-    catalogue = standard_catalogue()
-    catalogue.algorithms["FailAfter"] = FailAfter
-    return catalogue
+    return (*standard_catalogue(), FailAfter)
 
 
 def test_algorithm_failure_aborts_loop_but_finalize_runs(tmp_path):
@@ -340,9 +362,7 @@ class Misfit(Algorithm):
 
 
 def misfit_catalogue():
-    catalogue = standard_catalogue()
-    catalogue.algorithms["Misfit"] = Misfit
-    return catalogue
+    return (*standard_catalogue(), Misfit)
 
 
 def misfit_config(out, shape):
@@ -387,9 +407,7 @@ class Buggy(Algorithm):
 
 
 def buggy_catalogue():
-    catalogue = standard_catalogue()
-    catalogue.algorithms["Buggy"] = Buggy
-    return catalogue
+    return (*standard_catalogue(), Buggy)
 
 
 def buggy_config(out, bug):
@@ -446,9 +464,7 @@ class StopAt(Algorithm):
 
 
 def contract_catalogue():
-    catalogue = failing_catalogue()
-    catalogue.algorithms.update(Peek=Peek, StopAt=StopAt)
-    return catalogue
+    return (*failing_catalogue(), Peek, StopAt)
 
 
 def test_an_algorithm_after_a_filter_sees_only_the_passed_events(tmp_path):
@@ -505,6 +521,43 @@ def test_finalize_runs_exactly_once(tmp_path):
     stamp = out.stat().st_mtime_ns
     assert job.finalize() is PhaseStatus.OK  # second call is inert
     assert out.stat().st_mtime_ns == stamp
+
+
+def test_a_second_initialize_records_the_input_once(tmp_path):
+    source, out, again = (tmp_path / name for name in ("src.pdc", "out.pdc", "again.pdc"))
+    run_job(demo_config(source, algorithms=("RandomEventSource",)))
+    job = build_job(demo_config(out, algorithms=("FileEventSource",),
+                                FileEventSource__Input=str(source)))
+    assert job.initialize() is PhaseStatus.OK
+    assert job.initialize() is PhaseStatus.OK  # second call is inert
+    job.run()
+    assert job.report.succeeded, job.report.error
+    assert len(job.lineage.inputs) == 1
+    assert "Provenance.Inputs.I1.Path" not in extract_info(out)
+    assert main(["replay", str(out), str(again)]) == EXIT_OK
+
+
+def test_a_second_execute_writes_no_more_events(tmp_path):
+    out = tmp_path / "twice.pdc"
+    job = build_job(demo_config(out, algorithms=("RandomEventSource",),
+                                RandomEventSource__NumEvents=10))
+    job.initialize()
+    assert job.execute() is PhaseStatus.OK
+    assert job.execute() is PhaseStatus.OK  # second call is inert
+    job.finalize()
+    assert (job.report.events_seen, job.report.events_written) == (10, 10)
+    assert len(decode_events(read_block(out, "events"))[1]) == 10
+
+
+def test_a_job_succeeds_only_once_all_three_phases_are_ok():
+    job = build_job(demo_config(""))
+    assert not job.report.succeeded  # built, never run
+    job.initialize()
+    assert not job.report.succeeded
+    job.execute()
+    assert not job.report.succeeded
+    job.finalize()
+    assert job.report.succeeded
 
 
 def test_finalize_writes_container_with_info(tmp_path):
@@ -590,10 +643,7 @@ class StopRecorder(Service):
 
 
 def stop_test_catalogue():
-    catalogue = standard_catalogue()
-    catalogue.services["FailingStop"] = FailingStop
-    catalogue.services["StopRecorder"] = StopRecorder
-    return catalogue
+    return (*standard_catalogue(), FailingStop, StopRecorder)
 
 
 def test_a_failing_service_stop_fails_finalize(tmp_path):

@@ -231,9 +231,7 @@ class ReadGhost(Algorithm):
 
 
 def by_name_catalogue():
-    catalogue = standard_catalogue()
-    catalogue.algorithms.update(DoubleF0=DoubleF0, ReadGhost=ReadGhost)
-    return catalogue
+    return (*standard_catalogue(), DoubleF0, ReadGhost)
 
 
 def test_event_store_puts_and_gets_by_name(tmp_path):
@@ -267,8 +265,7 @@ class AssignDoubled(Algorithm):
 
 
 def test_an_algorithm_transforms_an_event_by_assigning_a_new_row(tmp_path):
-    catalogue = standard_catalogue()
-    catalogue.algorithms["AssignDoubled"] = AssignDoubled
+    catalogue = (*standard_catalogue(), AssignDoubled)
     out = tmp_path / "assigned.pdc"
     job = run_job(demo_config(out, algorithms=("RandomEventSource", "AssignDoubled"),
                               RandomEventSource__Seed=5, RandomEventSource__NumEvents=6,
@@ -298,8 +295,7 @@ class KeepRows(Algorithm):
                          [(0, 5), (1, 2100), (3, 1400), (4, 1100), (2051, 3)])
 def test_random_source_rows_equal_the_stateful_reference(tmp_path, field_count,
                                                          num_events):
-    catalogue = standard_catalogue()
-    catalogue.algorithms["KeepRows"] = KeepRows
+    catalogue = (*standard_catalogue(), KeepRows)
     out = tmp_path / "random.pdc"
     job = run_job(demo_config(out, algorithms=("RandomEventSource", "KeepRows"),
                               RandomEventSource__Seed=-7,
@@ -343,11 +339,13 @@ def test_replay_is_a_fixpoint_of_random_configs(seed):
 def per_event_catalogue():
     """The demo catalogue with every algorithm's stream its base class's default,
     so each event goes through the algorithm's `process`."""
-    catalogue = standard_catalogue()
-    for name, cls in catalogue.algorithms.items():
+    def per_event(cls):
+        if not issubclass(cls, Algorithm):
+            return cls
         base = EventSource if issubclass(cls, EventSource) else Algorithm
-        catalogue.algorithms[name] = type(name, (cls,), {"stream": base.stream})
-    return catalogue
+        return type(cls.__name__, (cls,), {"stream": base.stream})
+
+    return tuple(map(per_event, standard_catalogue()))
 
 
 def _run_and_read(config, catalogue, out):
@@ -436,7 +434,7 @@ def test_the_per_event_reference_runs_every_process(tmp_path):
     # guards the law above: its reference must not take the stages' path
     calls = []
     catalogue = per_event_catalogue()
-    for cls in catalogue.algorithms.values():
+    for cls in filter(lambda cls: issubclass(cls, Algorithm), catalogue):
         def process(self, job, event, _base=cls.process):
             calls.append(self.name)
             return _base(self, job, event)

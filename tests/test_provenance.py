@@ -72,9 +72,8 @@ def test_capture_is_resolved_not_just_explicit(tmp_path):
     job = run_job(demo_config(out))
     snapshot = job.metadata_svc.get_metadata()
     for component in job.components.values():
-        for spec in component.specs.values():
-            assert snapshot[f"{component.name}.{spec.name}"] == \
-                value_to_text(spec.applied)
+        for prop_name, value in component.values.items():
+            assert snapshot[f"{component.name}.{prop_name}"] == value_to_text(value)
 
 
 def test_get_metadata_before_start_raises():

@@ -150,9 +150,7 @@ class SvcB(Service):
 
 def test_service_start_order_and_reverse_stop():
     calls.clear()
-    catalogue = standard_catalogue()
-    catalogue.services["SvcA"] = SvcA
-    catalogue.services["SvcB"] = SvcB
+    catalogue = (*standard_catalogue(), SvcA, SvcB)
     config = OptionsSet([("ApplicationMgr.Services", ["SvcA", "SvcB"])])
     job = run_job(config, catalogue)
     assert job.report.succeeded
