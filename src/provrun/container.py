@@ -18,20 +18,25 @@ u16 byte length, the UTF-8 name and a fixed-size tail (empty for `events`);
 no name appears twice.
 
 The TOC sits at the end, after the payloads whose offsets and checksums it
-records. Every offset is known before the first byte is written, so the
-writer streams header, payloads, TOC and trailer in order to a temporary
-file beside the target and then renames it onto the target
-(`write_atomically`): a failed write leaves any earlier file at that path
-as it was. Readers seek straight to the TOC, so extracting `info` touches
-only the TOC plus that one block regardless of file size.
+records, so the writer (`ContainerWriter`) need not know a block before it
+comes: it streams the header, each payload as its pieces arrive (chaining
+the block's crc32c over them), the TOC and the trailer in order to a
+temporary file beside the target. Only `toc_offset` is not known when the
+header is written; it is written as 0 and patched last, and then the
+temporary file is renamed onto the target (`AtomicFile`): a failed or
+unfinished write leaves any earlier file at that path as it was. Readers
+seek straight to the TOC, so extracting `info` touches only the TOC plus
+that one block regardless of file size.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import os
 import struct
+import weakref
 from typing import BinaryIO, Iterable, Optional, Sequence, Union
 
 from . import options
@@ -59,6 +64,9 @@ _TOC_ENTRY_TAIL = struct.Struct("<QQI")
 _NO_TAIL = struct.Struct("<")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_TOC_OFFSET_AT = _HEADER.size - _U64.size  # where the header holds toc_offset
+_COMPARE_PIECE = 256 * 1024  # bytes of each block that differing_blocks reads at a time
 
 
 def encode_table(entries: Sequence[tuple[str, bytes]]) -> bytes:
@@ -100,40 +108,79 @@ def decode_table(data: bytes, tail: struct.Struct = _NO_TAIL
     return entries, pos
 
 
-def _normalize_blocks(blocks: Iterable[tuple[str, bytes]]) -> list[tuple[str, bytes]]:
-    pairs = list(blocks)
-    seen = set()
-    for name, payload in pairs:
-        if name == INFO_BLOCK:
-            raise ReservedNameMisuse(f"block {INFO_BLOCK!r} is reserved; pass the "
-                                     f"metadata as info=")
-        if name in seen:
-            raise DuplicateBlock(f"block {name!r} given twice")
-        seen.add(name)
-        if not isinstance(payload, (bytes, bytearray, memoryview)):
-            raise TypeError(f"payload of block {name!r} must be bytes")
-    # bytes and bytearray are written as they are, not copied; a memoryview
-    # is taken as its bytes, so that its length counts bytes
-    return [(name, bytes(payload) if isinstance(payload, memoryview) else payload)
-            for name, payload in pairs]
+_TEMPORARIES = itertools.count()  # one temporary name per write in this process
+
+
+def _remove_temporary(close, temporary: str) -> None:
+    """Close a temporary file and remove it, as far as the system lets."""
+    with contextlib.suppress(OSError):
+        close()
+    with contextlib.suppress(OSError):
+        os.remove(temporary)
+
+
+class AtomicFile:
+    """Bytes written to `path` through a temporary file beside it,
+    `<path>.<pid>.<n>.tmp`, opened at the first write; `commit` renames it
+    onto `path`. A failed write or commit, `abandon`, a failure inside
+    `with`, and a file dropped uncommitted close and remove the temporary,
+    leaving any earlier file at `path` as it was. An OSError is raised as
+    WriteFailure, anything else as it came."""
+
+    def __init__(self, path):
+        self.path = path
+        self.size = 0  # bytes written
+        self._temporary: Optional[str] = None
+        self._file = None  # the open temporary
+        self._discard = None  # closes and removes the temporary while it is open
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if exc is not None:
+            self.abandon()
+            if isinstance(exc, OSError):
+                raise WriteFailure(f"cannot write {self.path}: {exc}") from exc
+
+    def write(self, data) -> None:
+        with self:
+            if self._file is None:
+                self._open()
+            self.size += self._file.write(data)
+
+    def commit(self) -> None:
+        with self:
+            if self._file is None:
+                self._open()
+            self._close()
+            os.replace(self._temporary, self.path)
+            self._discard.detach()
+            self._file = None
+
+    def abandon(self) -> None:
+        self._file = None
+        if self._discard is not None:
+            self._discard()
+
+    def _open(self) -> None:
+        # a temporary is opened once: once closed, nothing more is written
+        if self._temporary is not None:
+            raise WriteFailure(f"cannot write {self.path}: its temporary file is closed")
+        self._temporary = f"{os.fspath(self.path)}.{os.getpid()}.{next(_TEMPORARIES)}.tmp"
+        closing = contextlib.ExitStack()
+        self._file = closing.enter_context(open(self._temporary, "wb"))
+        self._close = closing.close
+        self._discard = weakref.finalize(self, _remove_temporary, closing.close,
+                                         self._temporary)
 
 
 def write_atomically(path, chunks: Iterable[bytes]) -> None:
-    """Write `chunks` to `path` through a temporary file. On any failure
-    remove it, leaving any earlier file at `path` as it was; an OSError is
-    raised as WriteFailure, anything else as it came."""
-    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(temporary, "wb") as handle:
-            for chunk in chunks:
-                handle.write(chunk)
-        os.replace(temporary, path)
-    except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.remove(temporary)
-        if isinstance(exc, OSError):
-            raise WriteFailure(f"cannot write {path}: {exc}") from exc
-        raise
+    """Write `chunks` to `path` through an AtomicFile."""
+    with AtomicFile(path) as out:
+        for chunk in chunks:
+            out.write(chunk)
+        out.commit()
 
 
 def refuse_overwrite(source, target) -> None:
@@ -144,31 +191,73 @@ def refuse_overwrite(source, target) -> None:
             f"{os.fspath(target)!r} would overwrite the input {os.fspath(source)!r}")
 
 
+class ContainerWriter(AtomicFile):
+    """A container written to `path` as its blocks come: the header, with a
+    placeholder `toc_offset`, at once; then each block's bytes as they are
+    `add`ed, chaining its crc32c over them, until `end_block` names them;
+    then, at `finish`, the `info` block, the TOC, the trailer, the real
+    `toc_offset` and the rename."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self._blocks: dict[str, tuple[int, int, int]] = {}  # offset, length, crc32c
+        self._crc = 0  # of the bytes added since the last block ended
+        self.write(_HEADER.pack(MAGIC, FORMAT_VERSION, 0))
+        self._start = self.size
+
+    def add(self, piece) -> None:
+        with self:
+            self._crc = crc32c(piece, self._crc)
+            self.write(piece)
+
+    def end_block(self, name: str) -> None:
+        """Make the bytes added since the last block ended the block `name`."""
+        if name in self._blocks:
+            raise DuplicateBlock(f"block {name!r} given twice")
+        self._blocks[name] = (self._start, self.size - self._start, self._crc)
+        self._start, self._crc = self.size, 0
+
+    def add_block(self, name: str, payload) -> None:
+        if name == INFO_BLOCK:
+            raise ReservedNameMisuse(f"block {INFO_BLOCK!r} is reserved; pass the "
+                                     f"metadata as info=")
+        if not isinstance(payload, (bytes, bytearray, memoryview)):
+            raise TypeError(f"payload of block {name!r} must be bytes")
+        self.add(payload)
+        self.end_block(name)
+
+    def finish(self, info: Optional[MetadataDictionary] = None) -> dict[str, int]:
+        """Write `info`, the TOC and the trailer, set `toc_offset` and rename
+        the file onto `path`; returns each block's crc32c by name."""
+        if info is not None:
+            self.add(info.emit().encode("utf-8"))
+            self.end_block(INFO_BLOCK)
+        toc_offset = self.size
+        toc = encode_table([(name, _TOC_ENTRY_TAIL.pack(*entry))
+                            for name, entry in self._blocks.items()])
+        self.write(toc)
+        self.write(_U32.pack(crc32c(toc)))
+        with self:
+            self._file.seek(_TOC_OFFSET_AT)
+            self._file.write(_U64.pack(toc_offset))
+        self.commit()
+        return {name: crc for name, (_, _, crc) in self._blocks.items()}
+
+
 def write_container(path, blocks: Iterable[tuple[str, bytes]],
                     info: Optional[MetadataDictionary] = None) -> dict[str, int]:
-    """Write the container; returns each block's crc32c by name.
+    """Write the container through a ContainerWriter; returns each block's
+    crc32c by name.
 
     `info`, when given, is emitted as the canonical `info` block after the
     `blocks`, none of which may be named `info` (ReservedNameMisuse).
     Rewriting the same blocks yields byte-identical files. A failed write
     raises WriteFailure and leaves any earlier file at `path` as it was.
     """
-    pairs = _normalize_blocks(blocks)
-    if info is not None:
-        pairs.append((INFO_BLOCK, info.emit().encode("utf-8")))
-    checksums: dict[str, int] = {}
-    offset = _HEADER.size
-    entries = []
-    for name, payload in pairs:
-        crc = crc32c(payload)
-        checksums[name] = crc
-        entries.append((name, _TOC_ENTRY_TAIL.pack(offset, len(payload), crc)))
-        offset += len(payload)
-    toc = encode_table(entries)
-    write_atomically(path, [_HEADER.pack(MAGIC, FORMAT_VERSION, offset),
-                            *(payload for _, payload in pairs),
-                            toc, _U32.pack(crc32c(toc))])
-    return checksums
+    with ContainerWriter(path) as writer:
+        for name, payload in blocks:
+            writer.add_block(name, payload)
+        return writer.finish(info)
 
 
 class ContainerReader:
@@ -235,12 +324,14 @@ class ContainerReader:
         except KeyError:
             raise UnknownBlock(f"no block named {name!r}") from None
 
-    def _read_raw(self, name: str) -> bytes:
-        """A block's bytes as stored, not checked against its crc32c."""
+    def _read_raw(self, name: str, start: int = 0, size: Optional[int] = None) -> bytes:
+        """Up to `size` bytes of a block from `start`, by default all of them,
+        as stored, not checked against its crc32c."""
         offset, length, _ = self._entry(name)
-        self._file.seek(offset)
-        payload = self._file.read(length)
-        if len(payload) != length:
+        size = length - start if size is None else min(size, length - start)
+        self._file.seek(offset + start)
+        payload = self._file.read(size)
+        if len(payload) != size:
             raise CorruptContainer(f"block {name!r} is truncated")
         return payload
 
@@ -266,6 +357,15 @@ def read_block(path, name: str) -> bytes:
         return reader.read_block(name)
 
 
+def _same_bytes(a: ContainerReader, b: ContainerReader, name: str) -> bool:
+    """Whether block `name` holds the same bytes in both, compared a piece at
+    a time up to the first that differs."""
+    length = a._entry(name)[1]
+    return length == b._entry(name)[1] and all(
+        a._read_raw(name, start, _COMPARE_PIECE) == b._read_raw(name, start, _COMPARE_PIECE)
+        for start in range(0, length, _COMPARE_PIECE))
+
+
 def differing_blocks(path_a, path_b) -> list[str]:
     """Sorted names of the blocks other than `info` that one container lacks,
     or whose stored crc32c or bytes differ between the two."""
@@ -274,7 +374,7 @@ def differing_blocks(path_a, path_b) -> list[str]:
         return sorted(name for name in names
                       if not (a.has_block(name) and b.has_block(name))
                       or a.block_crc(name) != b.block_crc(name)
-                      or a._read_raw(name) != b._read_raw(name))
+                      or not _same_bytes(a, b, name))
 
 
 def extract_info(path) -> MetadataDictionary:

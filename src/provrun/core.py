@@ -11,16 +11,19 @@ tools as they are retrieved), is the job's only table of instances: an
 assignment reaches what is captured, and replay finds it under the same name.
 
 Phase contract: initialize precedes execute precedes finalize, each runs
-at most once per job, and finalize runs no matter how execute ends. A job
-has succeeded once all three are OK. Two runs of the same config produce
-byte-identical output containers.
+at most once per job, even when an interrupt stopped it, and finalize runs
+no matter how execute ends. A job has succeeded once all three are OK. Two
+runs of the same config produce byte-identical output containers.
 
 Execute chains the algorithms' `stream` stages, source first, and hands
 the last one to the writer, which packs each row that leaves the chain into
-the bytes of the output's `events` block. The stages are lazy, so one event
-at a time is in flight: it has left the chain, kept or vetoed, before the
-source makes the next, and a stage that raises fails execute at that event,
-with every row kept before it in the output.
+the bytes of the output's `events` block and streams them, a unit at a
+time, to a temporary file that finalize completes and renames onto the
+output path: a job's memory does not grow with its output. A failure to
+write fails finalize, never execute. The stages are lazy, so one event at
+a time is in flight: it has left the chain, kept or vetoed, before the
+source makes the next, and a stage that raises fails execute at that
+event, with every row kept before it in the output.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ class PhaseStatus(Enum):
     OK = "ok"
     FAILED = "failed"
     SKIPPED = "skipped"
+    INTERRUPTED = "interrupted"
 
 
 @dataclass
@@ -110,7 +114,9 @@ def _phase(body):
     exception fails the phase, and the job's first failure is kept in
     `failure` and `report.error`. An exception that is not a ProvrunError
     is a bug in a component; it becomes an AlgorithmFailure naming its
-    type, with the original as its cause."""
+    type, with the original as its cause. An interrupt, such as a
+    KeyboardInterrupt, is no failure: the phase is recorded as INTERRUPTED
+    and the interrupt goes on."""
     name = body.__name__
 
     @functools.wraps(body)
@@ -129,6 +135,9 @@ def _phase(body):
                 job.report.error = f"{name}: {exc}"
             job.msg.log(LEVEL_ERROR, "ApplicationMgr", f"{name} failed: {exc}")
             status = PhaseStatus.FAILED
+        except BaseException:
+            job.report.phases[name] = PhaseStatus.INTERRUPTED
+            raise
         job.report.phases[name] = status
         return status
 
@@ -250,7 +259,7 @@ class Job:
         written = kept.count
         try:
             # draws the events through every stage, one at a time
-            self.writer.keep(rows, len(event.fields))
+            self.writer.keep(rows, self.app.value("OutputFile"), event.fields)
         except BaseException:
             planned = event.index  # the event in flight is not seen
             raise

@@ -29,8 +29,9 @@ distance to the end of the run, never on the bytes before it.
   length, and longer inputs chain span by span.
 - Inputs of 32 lanes (6 KiB) or more take the lane path. Whole chunks
   of up to 4096 lanes of 192 bytes are walked while at least 32 lanes
-  remain; fewer leftover lanes go to the parity spans. Lane column j
-  (`chunk[j::192]`), the byte at distance 191 - j from each lane's end,
+  remain; fewer leftover lanes go to the parity spans. Lane column j of
+  the chunk from `pos` to `end` (`data[pos + j:end:192]`, sliced from the
+  input itself), the byte at distance 191 - j from each lane's end,
   is translated through the four byte planes of T_{191-j} with
   `bytes.translate`, and the planes of all lanes are xored into one int:
   that gives every lane's R from a zero register at once, with no
@@ -136,11 +137,14 @@ def _parity_span(span, reg: int) -> int:
     return int(counts[::4].translate(_LOW_BIT), 2)
 
 
-def _fold_chunk(chunk: bytes, lanes: int, reg: int) -> int:
-    """Run the raw register `reg` over `chunk`, `lanes` lanes of _LANE bytes."""
+def _fold_chunk(data, pos: int, lanes: int, reg: int) -> int:
+    """Run the raw register `reg` over the `lanes` lanes of _LANE bytes of
+    `data`, a bytes or bytearray, from `pos`; each column is sliced from
+    `data` itself, so the chunk is never copied whole."""
+    end = pos + lanes * _LANE
     regs = 0  # plane k of every lane's R in bytes k*lanes..(k+1)*lanes
     for j, (p0, p1, p2, p3) in enumerate(_COLUMNS):
-        column = chunk[j::_LANE]
+        column = data[pos + j:end:_LANE]
         regs ^= int.from_bytes(b"".join((column.translate(p0), column.translate(p1),
                                          column.translate(p2), column.translate(p3))),
                                "little")
@@ -168,7 +172,10 @@ def crc32c(data: bytes, crc: int = 0) -> int:
     while lanes_left >= _MIN_LANES:
         lanes = min(lanes_left, _CHUNK_LANES)
         end = pos + lanes * _LANE
-        reg = _fold_chunk(bytes(view[pos:end]), lanes, reg)
+        if isinstance(data, (bytes, bytearray)):
+            reg = _fold_chunk(data, pos, lanes, reg)
+        else:  # a memoryview's strided slice has no translate
+            reg = _fold_chunk(bytes(view[pos:end]), 0, lanes, reg)
         pos = end
         lanes_left -= lanes
     while n - pos >= _MIN_PARITY:

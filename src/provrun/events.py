@@ -8,8 +8,9 @@ implied by the remaining length, so identical inputs always encode to
 identical bytes.
 
 Both directions work a row at a time: `PackedRows` packs rows as they come
-into one growing body, and `iter_events` unpacks rows lazily from a
-block's bytes, so neither holds one Python object per event.
+into a body that the writer takes a unit at a time, and `iter_events`
+unpacks rows lazily from a block's bytes, so neither holds one Python
+object per event.
 """
 
 from __future__ import annotations
@@ -27,14 +28,21 @@ def row_format(width: int) -> struct.Struct:
     return struct.Struct("<" + "d" * width)
 
 
+def field_table(field_names: Sequence[str]) -> bytes:
+    """The block's leading field table; a name listed twice is refused."""
+    if len(set(field_names)) != len(field_names):
+        raise ValueError("the field list names a field twice")
+    return encode_table([(name, b"") for name in field_names])
+
+
 class PackedRows:
-    """The body of an events block, packed as rows are added. The first row
-    that does not pack stops the packing: it is kept with its error, later
-    rows are only counted, and `block` raises that error, naming the row by
-    its index among all the rows added."""
+    """The body of an events block, packed as rows are added and handed on
+    by `take`. The first row that does not pack stops the packing: it is
+    kept with its error, later rows are only counted, and `check` raises
+    that error, naming the row by its index among all the rows added."""
 
     def __init__(self):
-        self.body = bytearray()
+        self.body = bytearray()  # the rows packed since the last `take`
         self.count = 0  # rows added, packed or not
         self._misfit = None  # (index, row, exception) of the first row that did not pack
 
@@ -44,7 +52,7 @@ class PackedRows:
             try:
                 self.body += b"".join(starmap(pack_row, rows))
             except Exception:
-                # find the row, one at a time; whatever it raised, `block`
+                # find the row, one at a time; whatever it raised, `check`
                 # raises at the write, as a whole-list encode there would
                 for index, kept in enumerate(rows):
                     try:
@@ -54,26 +62,27 @@ class PackedRows:
                         break
         self.count += len(rows)
 
-    def block(self, field_names: Sequence[str]) -> bytearray:
-        """The whole block, built in place: the field table, then the body.
-        Call it once, after the last `extend`."""
-        if len(set(field_names)) != len(field_names):
-            raise ValueError("the field list names a field twice")
-        header = encode_table([(name, b"") for name in field_names])
+    def take(self) -> bytearray:
+        """The rows packed since the last call, which the body lets go."""
+        body, self.body = self.body, bytearray()
+        return body
+
+    def check(self, field_count: int) -> None:
+        """Raise the error of the first row that did not pack, if any."""
         if self._misfit is not None:
             index, row, exc = self._misfit
             if not isinstance(exc, struct.error):
                 raise exc
             raise ValueError(f"row {index} of width {len(row)} does not fit "
-                             f"{len(field_names)} float fields: {exc}")
-        self.body[:0] = header
-        return self.body
+                             f"{field_count} float fields: {exc}")
 
 
 def encode_events(field_names: Sequence[str], rows: Sequence[Sequence[float]]) -> bytes:
     packed = PackedRows()
     packed.extend(row_format(len(field_names)), rows)
-    return bytes(packed.block(field_names))
+    header = field_table(field_names)
+    packed.check(len(field_names))
+    return header + packed.take()
 
 
 def iter_events(data) -> tuple[list[str], int, Iterator[tuple[float, ...]]]:

@@ -2,8 +2,9 @@
 logs every assignment, lineage declarations included), the tool service,
 the event store (which is the event every algorithm is handed: one tuple
 of floats in schema order), and container persistency (which packs the
-kept rows as they pass); and `Lineage`, the
-job's one record of its declared inputs and the inputs it reads."""
+kept rows as they pass and streams them to the output file); and
+`Lineage`, the job's one record of its declared inputs and the inputs it
+reads."""
 
 from __future__ import annotations
 
@@ -19,9 +20,10 @@ from .errors import (
     LineageMismatch,
     UnknownComponent,
     UnknownProperty,
+    WriteFailure,
 )
-from .events import PackedRows, row_format
-from .container import write_container
+from .events import PackedRows, field_table, row_format
+from .container import ContainerWriter
 from .metadata import MetadataDictionary
 from .options import Kind, OptionKey, OptionValue
 
@@ -36,6 +38,7 @@ LEVEL_ERROR = 4
 _LEVEL_NAMES = {0: "DEBUG", 1: "VERBOSE", 2: "INFO", 3: "WARNING", 4: "ERROR"}
 
 _KEEP_CHUNK = 1024  # rows the writer holds as tuples before it packs them
+_UNIT = 256 * 1024  # packed bytes the writer holds before it streams them out
 
 
 class Lineage:
@@ -151,7 +154,7 @@ class EventDataSvc(Service):
     the rows instead. A row is never changed in place: an algorithm that
     transforms the event assigns it a new `row`, as `put` does. The job keeps
     no row per event: the writer packs each row that leaves the chain into
-    bytes, a chunk at a time."""
+    bytes, a chunk at a time, and writes them out a unit at a time."""
 
     def __init__(self):
         super().__init__()
@@ -182,36 +185,81 @@ class EventDataSvc(Service):
 
 
 class ContainerWriterSvc(Service):
-    """Packs the kept rows as execute hands them over, holds the extra
-    blocks, then writes the container."""
+    """Packs the kept rows as execute hands them over and streams them, a
+    unit at a time, into the output's `events` block; holds the extra
+    blocks; and finishes the container at finalize. The output's temporary
+    file is opened at the first unit, and a failure to write it is kept
+    and raised at finalize: execute never fails on the output. A misfit row
+    or a failed write leaves no output, nor does a job stopped or dropped
+    unfinished."""
 
     def __init__(self):
         super().__init__()
         self.kept = PackedRows()
         self._extra_blocks: list[tuple[str, bytes]] = []
+        self._output: Optional[ContainerWriter] = None  # from the first unit on
+        self._failure: Optional[Exception] = None  # raised at finalize
 
-    def keep(self, rows: Iterator[tuple[float, ...]], width: int) -> None:
-        """Pack the rows `rows` yields, of `width` floats each, a chunk at a
-        time. Rows are taken one by one, so a row taken before `rows` raises
-        is kept, and none is taken ahead of need."""
-        row = row_format(width)
+    def keep(self, rows: Iterator[tuple[float, ...]], path, fields: list[str]) -> None:
+        """Pack the rows `rows` yields, one float per name of `fields` each,
+        a chunk at a time, and stream each full unit into the container at
+        `path` (none when it is empty). Rows are taken one by one, so a row
+        taken before `rows` raises is kept, and none is taken ahead of need."""
+        row = row_format(len(fields))
         chunk: list[tuple[float, ...]] = []
         while True:
             try:
                 chunk.extend(islice(rows, _KEEP_CHUNK))
             finally:
                 self.kept.extend(row, chunk)
+            if len(self.kept.body) >= _UNIT:
+                self._stream(path, fields)
             if len(chunk) < _KEEP_CHUNK:
                 return
             chunk.clear()
+
+    def _stream(self, path, fields: list[str]) -> None:
+        """Hand the rows packed so far to the output, opened at the first
+        unit; a failure is kept, for finalize to raise."""
+        unit = self.kept.take()
+        if path and self._failure is None:
+            try:
+                if self._output is None:
+                    header = field_table(fields)
+                    self._output = ContainerWriter(path)
+                    self._output.add(header)
+                self._output.add(unit)
+            except (WriteFailure, ValueError) as exc:
+                self._failure = exc
 
     def add_block(self, name: str, payload: bytes) -> None:
         self._extra_blocks.append((name, payload))
 
     def write(self, path, fields: list[str],
               info: Optional[MetadataDictionary]) -> dict[str, int]:
+        """Finish the container at `path`, the one `keep` streamed to; a
+        failure leaves no output."""
         try:
-            events = self.kept.block(fields)
-        except ValueError as exc:
-            raise AlgorithmFailure(f"cannot write the kept events: {exc}") from exc
-        return write_container(path, [("events", events), *self._extra_blocks], info)
+            try:
+                field_table(fields)
+                self.kept.check(len(fields))
+            except ValueError as exc:
+                raise AlgorithmFailure(f"cannot write the kept events: {exc}") from exc
+            self._stream(path, fields)
+            if self._failure is not None:
+                raise self._failure
+            self._output.end_block("events")
+            for name, payload in self._extra_blocks:
+                self._output.add_block(name, payload)
+            return self._output.finish(info)
+        except BaseException:
+            self._abandon()
+            raise
+
+    def stop(self, job) -> None:
+        self._abandon()
+
+    def _abandon(self) -> None:
+        """Remove the output, if it is unfinished."""
+        if self._output is not None:
+            self._output.abandon()

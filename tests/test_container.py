@@ -36,7 +36,7 @@ from provrun.errors import (
     UnsupportedVersion,
     WriteFailure,
 )
-from provrun.container import encode_table, extract_info
+from provrun.container import _COMPARE_PIECE, differing_blocks, encode_table, extract_info
 from provrun.events import decode_events, encode_events
 
 from helpers import FailingFile, demo_config
@@ -301,6 +301,24 @@ def test_a_failure_that_is_not_an_os_error_leaves_no_temporary(tmp_path, chunks,
     assert not isinstance(raised.value, WriteFailure)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.pdc"]
+
+
+def test_differing_blocks_compares_long_blocks_to_their_last_piece(tmp_path):
+    # a message followed by its own crc32c, little-endian, always has the
+    # same crc32c: two such blocks that part in their last bytes agree in
+    # length and crc32c, so only their bytes tell them apart
+    body = random.Random(4).randbytes(2 * _COMPARE_PIECE + 100)
+    paths = []
+    for last in (0, 1):
+        message = body + bytes([last])
+        paths.append(tmp_path / f"{last}.pdc")
+        write_container(paths[-1], [("events", message + struct.pack("<I", crc32c(message))),
+                                    ("summary", b"same")])
+    a, b = (read_block(path, "events") for path in paths)
+    assert len(a) == len(b) and crc32c(a) == crc32c(b) and a[-1] != b[-1]
+    assert a[:-5] == b[:-5]
+    assert differing_blocks(*paths) == ["events"]
+    assert differing_blocks(paths[0], paths[0]) == []
 
 
 class CountingFile:

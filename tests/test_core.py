@@ -1,10 +1,14 @@
 """Job lifecycle: build, initialize, execute, finalize."""
 
+import builtins
+import gc
 import random
 
 import pytest
 
+import provrun.container
 from provrun import (
+    ContainerReader,
     Kind,
     KindSpec,
     MetaDataSvc,
@@ -34,9 +38,9 @@ from provrun.errors import (
     WriteFailure,
 )
 from provrun.events import decode_events
-from provrun.services import Service
+from provrun.services import _UNIT, Service
 
-from helpers import demo_config, random_demo_config
+from helpers import FailingFile, demo_config, random_demo_config
 
 
 # --- build ------------------------------------------------------------------
@@ -437,8 +441,120 @@ def test_an_interrupt_is_not_a_phase_failure(tmp_path):
     assert job.initialize() is PhaseStatus.OK
     with pytest.raises(KeyboardInterrupt):
         job.execute()
-    assert "execute" not in job.report.phases
+    assert job.report.phases["execute"] is PhaseStatus.INTERRUPTED
     assert job.failure is None
+
+
+# --- the streaming writer: execute hands each full unit of kept rows to the output -----
+
+_UNIT_ROWS = _UNIT // 32  # rows of four doubles in one unit
+
+
+class BreakAt(Algorithm):
+    """At event `At`, keeps a one-cell row ("misfit") or, the first time,
+    raises KeyboardInterrupt ("interrupt"), as `How` says."""
+
+    PROPERTIES = (("At", Kind.INTEGER, 0), ("How", Kind.TEXT, "misfit"))
+    interrupted = False
+
+    def bind(self, event):
+        self._at, self._how = self.value("At"), self.value("How")
+
+    def process(self, job, event):
+        if event.index == self._at:
+            if self._how == "interrupt" and not self.interrupted:
+                self.interrupted = True
+                raise KeyboardInterrupt
+            event.row = event.row[:1]
+        return True
+
+
+def break_catalogue():
+    return (*standard_catalogue(), BreakAt)
+
+
+def streamed_config(out, events, seed=3, **assignments):
+    """A job of `events` four-field events, all kept, so that several units stream."""
+    algorithms = ("RandomEventSource", *(("BreakAt",) if assignments else ()))
+    return demo_config(out, algorithms=algorithms, RandomEventSource__Seed=seed,
+                       RandomEventSource__NumEvents=events,
+                       RandomEventSource__FieldCount=4, **assignments)
+
+
+def test_a_second_execute_after_an_interrupt_keeps_each_row_once(tmp_path):
+    at = 2 * _UNIT_ROWS + 5
+    out, whole = tmp_path / "interrupted.pdc", tmp_path / "whole.pdc"
+    job = build_job(streamed_config(out, at + 10, BreakAt__How="interrupt", BreakAt__At=at),
+                    break_catalogue())
+    job.initialize()
+    with pytest.raises(KeyboardInterrupt):
+        job.execute()
+    assert job.execute() is PhaseStatus.INTERRUPTED
+    assert job.finalize() is PhaseStatus.OK
+    assert job.report.events_written == at
+    assert run_job(streamed_config(whole, at)).report.succeeded
+    assert read_block(out, "events") == read_block(whole, "events")
+
+
+def test_a_misfit_after_streamed_units_fails_finalize_and_leaves_nothing(tmp_path):
+    at = 3 * _UNIT_ROWS + 5
+    job = build_job(streamed_config(tmp_path / "late.pdc", at + 10, BreakAt__At=at),
+                    break_catalogue())
+    job.initialize()
+    assert job.execute() is PhaseStatus.OK
+    [temporary] = tmp_path.glob("*.tmp")
+    assert temporary.stat().st_size >= 3 * _UNIT
+    assert job.finalize() is PhaseStatus.FAILED
+    assert str(job.failure).startswith(
+        f"cannot write the kept events: row {at} of width 1 does not fit 4 float fields")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_interrupted_job_dropped_unfinished_leaves_no_temporary(tmp_path):
+    at = 2 * _UNIT_ROWS + 5
+    job = build_job(streamed_config(tmp_path / "late.pdc", at + 10, BreakAt__How="interrupt",
+                                    BreakAt__At=at), break_catalogue())
+    job.initialize()
+    with pytest.raises(KeyboardInterrupt):
+        job.execute()
+    assert len(list(tmp_path.glob("*.tmp"))) == 1
+    del job
+    gc.collect()  # the stages' generators and the job refer to each other
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_two_jobs_streaming_to_one_path_keep_their_own_temporaries(tmp_path):
+    out = tmp_path / "shared.pdc"
+    jobs = [build_job(streamed_config(out, 2 * _UNIT_ROWS, seed)) for seed in (1, 2)]
+    for phase in ("initialize", "execute"):
+        for job in jobs:
+            assert getattr(job, phase)() is PhaseStatus.OK
+    assert len(list(tmp_path.glob("*.tmp"))) == 2
+    for job in jobs:
+        assert job.finalize() is PhaseStatus.OK
+        with ContainerReader(out) as reader:
+            reader.read_block("events")
+            assert reader.block_crc("events") == job.report.payload_checksum
+    assert jobs[0].report.payload_checksum != jobs[1].report.payload_checksum
+    assert [p.name for p in tmp_path.iterdir()] == ["shared.pdc"]
+
+
+@pytest.mark.parametrize("fault", ["missing_directory", "disk_full"])
+def test_a_write_that_fails_while_streaming_fails_finalize(tmp_path, monkeypatch, fault):
+    out = tmp_path / "out.pdc"
+    if fault == "missing_directory":
+        out = tmp_path / "missing_dir" / "out.pdc"
+    else:
+        monkeypatch.setattr(provrun.container, "open", lambda file, mode: FailingFile(
+            builtins.open(file, mode), _UNIT + 100), raising=False)
+    job = build_job(streamed_config(out, 3 * _UNIT_ROWS))
+    job.initialize()
+    assert job.execute() is PhaseStatus.OK
+    assert job.report.events_written == 3 * _UNIT_ROWS
+    assert job.finalize() is PhaseStatus.FAILED
+    assert job.report.error.startswith(f"finalize: cannot write {out}")
+    assert isinstance(job.failure, WriteFailure)
+    assert list(tmp_path.rglob("*.pdc*")) == []
 
 
 # --- the execute contract: what a per-event algorithm sees -------------------------

@@ -203,11 +203,11 @@ def test_the_writer_packs_what_encode_events_encodes(kept):
     except Exception as exc:
         expected = exc
     writer = ContainerWriterSvc()
-    for start, end in zip([0, *cuts], [*cuts, len(rows)]):
-        writer.keep(iter(rows[start:end]), width)
-    assert writer.kept.count == len(rows)
     with tempfile.TemporaryDirectory() as work:
         out = os.path.join(work, "out.pdc")
+        for start, end in zip([0, *cuts], [*cuts, len(rows)]):
+            writer.keep(iter(rows[start:end]), out, fields)
+        assert writer.kept.count == len(rows)
         if isinstance(expected, bytes):
             writer.write(out, fields, None)
             assert read_block(out, "events") == expected
