@@ -18,14 +18,14 @@ loop the job runs, and `process` is the per-event reference it must equal.
 from __future__ import annotations
 
 import os
-from itertools import chain, repeat
+from itertools import repeat
 
 from .components import Component
 from .container import ContainerReader, refuse_overwrite
 from .errors import AlgorithmFailure, CorruptContainer, LineageMissing
 from .events import iter_events
 from .options import Kind, OptionsSet, emit_canonical
-from .rng import LANES, draw_doubles
+from .rng import doubles, lane_chunks
 
 
 class Algorithm(Component):
@@ -69,6 +69,10 @@ class EventSource(Algorithm):
         """Number of events this run will produce; called once per job."""
         raise NotImplementedError
 
+    def close(self, job) -> None:
+        """Release what the stream holds; execute calls it when the stream
+        ends, however it ends, once `plan` has returned."""
+
     def stream(self, job, event, rows):
         """By default `process` makes each event's row, from an empty one,
         with `event.index` already set."""
@@ -76,15 +80,28 @@ class EventSource(Algorithm):
 
 
 def _numbered(event, rows):
-    """`rows`, setting `event.index` to each one's position as it is taken."""
-    for event.index, row in enumerate(rows):
-        yield row
+    """`rows`, setting `event.index` to each one's position as it is taken.
+    When taking a row fails, `event.index` is that of the event being made."""
+    event.index = -1
+    try:
+        for event.index, row in enumerate(rows):
+            yield row
+    except GeneratorExit:
+        raise
+    except BaseException:
+        event.index += 1
+        raise
 
 
 class RandomEventSource(EventSource):
     """Uniform [0,1) fields f0..f{k-1}, one SplitMix64 draw per field per
     event in event-major order; identical seeds give identical payloads.
-    The draws are made a lane chunk of events at a time (`draw_doubles`)."""
+    The draws come as one stream (`rng.lane_chunks`), zipped into rows. A
+    job of at least `rng.FORK_DRAWS` draws, in a process that has POSIX
+    `fork`, runs one Python thread and does not ignore SIGCHLD, forks a
+    worker at its first row to compute them; the worker writes no file,
+    only the pipe the job reads, and the rows are identical either way.
+    `close` ends the worker."""
 
     PROPERTIES = (
         ("Seed", Kind.INTEGER, 0),
@@ -97,9 +114,14 @@ class RandomEventSource(EventSource):
         field_count = self.value("FieldCount")
         if count < 0 or field_count < 0:
             raise AlgorithmFailure("NumEvents and FieldCount must be non-negative")
-        self._rows = _random_rows(self.value("Seed"), count, field_count)
+        self._draws = lane_chunks(self.value("Seed"), 0, count * field_count)
+        self._rows = (zip(*[doubles(self._draws)] * field_count) if field_count
+                      else repeat((), count))
         self.fields = [f"f{i}" for i in range(field_count)]
         return count
+
+    def close(self, job) -> None:
+        self._draws.close()
 
     def process(self, job, event) -> bool:
         event.row = next(self._rows)
@@ -107,20 +129,6 @@ class RandomEventSource(EventSource):
 
     def stream(self, job, event, rows):
         return _numbered(event, self._rows)
-
-
-def _random_rows(seed: int, count: int, width: int):
-    """`count` rows of `width` draws of `SplitMix64(seed)`, each a tuple,
-    drawn one chunk of events at a time."""
-    if not width:
-        return repeat((), count)
-    per_chunk = max(1, LANES // width)
-
-    def chunk(first: int):
-        n = min(per_chunk, count - first) * width
-        return zip(*[iter(draw_doubles(seed, first * width, n))] * width)
-
-    return chain.from_iterable(map(chunk, range(0, count, per_chunk)))
 
 
 class FileEventSource(EventSource):

@@ -23,7 +23,10 @@ output path: a job's memory does not grow with its output. A failure to
 write fails finalize, never execute. The stages are lazy, so one event at
 a time is in flight: it has left the chain, kept or vetoed, before the
 source makes the next, and a stage that raises fails execute at that
-event, with every row kept before it in the output.
+event, with every row kept before it in the output. However the stream
+ends, execute then closes the source, so that what it holds (the demo
+source's draw worker) is released at once, not when the garbage collector
+finds it.
 """
 
 from __future__ import annotations
@@ -266,6 +269,8 @@ class Job:
         finally:  # exact counts even when an algorithm raises
             self.report.events_seen += planned
             self.report.events_written += kept.count - written
+            if isinstance(source, EventSource):
+                source.close(self)
         self.msg.log(LEVEL_INFO, "ApplicationMgr",
                      f"processed {self.report.events_seen} event(s), "
                      f"kept {self.report.events_written}")

@@ -10,19 +10,44 @@ before it (Steele, Lea & Flood, "Fast Splittable Pseudorandom Number
 Generators", OOPSLA 2014). Two paths give the same doubles:
 
 - `SplitMix64`, one draw per call, is the reference.
-- `draw_doubles` computes up to 2048 draws at once, one per lane. A lane is
+- `lane_chunks` computes up to 2048 draws at once, one per lane. A lane is
   a 128-bit slot of one Python int: base·ONES + STEPS puts base + i·γ in
   lane i. Every lane is masked to 64 bits before and after each multiply,
   so a product by a 64-bit constant never carries into the next lane, and
-  the bits a right shift brings down from the next lane are masked off.
-  The lanes come out as the even (low) words of an `array('Q')` and are
-  scaled to doubles, which is exact because they are below 2^53. A
-  chunk of fewer draws uses only as many lanes as it has draws, so a short
-  run costs no more than its draws.
+  the bits a right shift brings down from the next lane are never read.
+  A chunk of fewer draws uses only as many lanes as it has draws, so a
+  short run costs no more than its draws.
+
+  Each chunk comes out as the bytes of its slots, laid out so that one
+  float subtraction makes the double. With x the draw's top 53 bits, a
+  slot's low word is the double A = 0.5 + (x mod 2^52)·2^-53, and its high
+  word is C = 0.5 when bit 52 of x is clear and +0.0 when it is set.
+  `doubles` reads the words as doubles and yields A − C for each slot. The
+  difference is exact and equals x·2^-53, as `next_double` gives it, bit
+  for bit: with the bit clear, C/2 <= A <= 2C, so A − C is exact by
+  Sterbenz's lemma and equals (x mod 2^52)·2^-53 = x·2^-53; with it set,
+  A − 0 = A = 0.5 + (x − 2^52)·2^-53 = x·2^-53.
+
+A run of at least `FORK_DRAWS` draws, in a process that has `os.fork`,
+runs one Python thread and does not ignore SIGCHLD, forks a worker at its
+first chunk. The worker computes the chunks and writes them to a pipe, and
+the run reads them, so the lane arithmetic takes another core. The bytes
+depend only on the seed and the draws' positions, so the doubles are
+identical either way. The worker writes nothing but its pipe and leaves
+through `os._exit` on every path. The run reaps it at its end, or kills
+and reaps it when it is closed early; a short read or a non-zero exit
+status is an `AlgorithmFailure`.
 """
 
+import os
+import signal
 import sys
+import threading
 from array import array
+from itertools import chain
+from operator import sub
+
+from .errors import AlgorithmFailure
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -38,6 +63,13 @@ _ONES = int.from_bytes((b"\x01" + bytes(_SLOT - 1)) * LANES, "little")
 _STEPS = int.from_bytes(b"".join((i * _GAMMA).to_bytes(_SLOT, "little")
                                  for i in range(LANES)), "little")
 _MASKS = _MASK64 * _ONES
+_HALF = 0x3FE0000000000000  # the bits of the double 0.5, 0x1FF << 53
+_HALVES = (_HALF << 64 | _HALF) * _ONES
+_MANTISSAS = ((1 << 52) - 1) * _ONES
+_TOP_BITS = (1 << 63) * _ONES  # bit 52 of x is bit 63 of the draw
+
+# the fewest draws that repay forking a worker (see CHANGES.md)
+FORK_DRAWS = 40_000
 
 
 class SplitMix64:
@@ -57,25 +89,103 @@ class SplitMix64:
         return (self.next_uint64() >> 11) * _DOUBLE_SCALE
 
 
-def draw_doubles(seed: int, start: int, count: int) -> list[float]:
-    """Draws start+1 .. start+count of `SplitMix64(seed)`, as `next_double`
-    returns them."""
-    out: list[float] = []
-    ones, steps, masks = _ONES, _STEPS, _MASKS
+def _lanes(seed: int, start: int, count: int):
+    """The slots of draws start+1 .. start+count of `SplitMix64(seed)`, as
+    bytes, a chunk of up to `LANES` at a time; made in this process."""
+    ones, steps, masks, halves = _ONES, _STEPS, _MASKS, _HALVES
     end = start + count
     while start < end:
         lanes = min(end - start, LANES)
         if lanes < LANES:  # the last chunk
             cut = (1 << (8 * _SLOT * lanes)) - 1
-            ones, steps, masks = ones & cut, steps & cut, masks & cut
+            ones, steps, masks, halves = ones & cut, steps & cut, masks & cut, halves & cut
         z = (((seed + (start + 1) * _GAMMA) & _MASK64) * ones + steps) & masks
         z = ((z ^ (z >> 30)) & masks) * _MIX1 & masks
         z = ((z ^ (z >> 27)) & masks) * _MIX2 & masks
-        # bits 64.. of a lane are left unmasked: only the low word is read
-        z = (z ^ (z >> 31)) >> 11
-        words = array("Q", z.to_bytes(_SLOT * lanes, "little"))[::2]
-        if sys.byteorder == "big":
-            words.byteswap()
-        out += [x * _DOUBLE_SCALE for x in words]
+        yield _layout(z ^ (z >> 31), halves).to_bytes(_SLOT * lanes, "little")
         start += lanes
-    return out
+
+
+def _layout(z: int, halves: int) -> int:
+    """The slots of the draws in the low words of the lanes of `z` (the
+    bits above them are not read); `halves` has 0.5 in both words of each
+    of those lanes, and the high word loses it where bit 52 of x is set."""
+    return ((z >> 11) & _MANTISSAS) | (halves ^ (z & _TOP_BITS) * 0x1FF << 54)
+
+
+def lane_chunks(seed: int, start: int, count: int):
+    """The slots of draws start+1 .. start+count of `SplitMix64(seed)`, as
+    bytes, a chunk of up to `LANES` at a time: from a forked worker when
+    the run is long enough to repay the fork and this process can fork
+    safely and reap its child (with SIGCHLD ignored, the kernel reaps it,
+    and its pid may be reused), else made here."""
+    if (count >= FORK_DRAWS and hasattr(os, "fork") and threading.active_count() == 1
+            and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN):
+        yield from _forked(seed, start, count)
+    else:
+        yield from _lanes(seed, start, count)
+
+
+def _forked(seed: int, start: int, count: int):
+    """`_lanes`, made by a forked worker and read from a pipe."""
+    read_end, write_end = os.pipe()
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT,))
+    try:
+        pid = os.fork()
+    except OSError:  # no worker: the draws are made here
+        pid = -1
+    if pid == 0:
+        # the worker: every path ends in os._exit, so it never unwinds into
+        # the frames it was forked from; SIGINT stays blocked, and the run
+        # ends it
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                for slots in _lanes(seed, start, count):
+                    pipe.write(slots)
+            status = 0
+        finally:
+            os._exit(status)
+    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    os.close(write_end)
+    if pid < 0:
+        os.close(read_end)
+        yield from _lanes(seed, start, count)
+        return
+    ended = False
+    try:
+        with open(read_end, "rb") as pipe:
+            for drawn in range(0, count, LANES):
+                size = _SLOT * min(LANES, count - drawn)
+                slots = pipe.read(size)
+                if len(slots) < size:
+                    raise AlgorithmFailure(
+                        f"the draw worker stopped after {drawn} of {count} draws")
+                yield slots
+        ended = True
+    finally:
+        if not ended:
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        raise AlgorithmFailure(f"the draw worker exited with status {status}")
+
+
+def _slot_doubles(slots: bytes):
+    """The draws of one chunk of slots: each slot's low word minus its high."""
+    words = array("d", slots)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return map(sub, words[::2], words[1::2])
+
+
+def doubles(chunks):
+    """The draws of `chunks` of slots, as floats, one per slot."""
+    return chain.from_iterable(map(_slot_doubles, chunks))
+
+
+def draw_doubles(seed: int, start: int, count: int) -> list[float]:
+    """Draws start+1 .. start+count of `SplitMix64(seed)`, as `next_double`
+    returns them."""
+    return list(doubles(lane_chunks(seed, start, count)))

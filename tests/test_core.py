@@ -22,7 +22,8 @@ from provrun import (
     run_job,
     standard_catalogue,
 )
-from provrun.algorithms import Algorithm, DemoTool, RandomEventSource, ThresholdFilter
+from provrun.algorithms import (Algorithm, DemoTool, EventSource, RandomEventSource,
+                                ThresholdFilter, _numbered)
 from provrun.cli import EXIT_OK, main
 from provrun.components import Component
 from provrun.errors import (
@@ -618,6 +619,31 @@ def test_a_stop_iteration_from_process_fails_the_event(tmp_path):
     assert type(job.failure.__cause__) is StopIteration
     assert job.report.events_seen == 2
     assert job.report.events_written == 2
+
+
+class FailsMakingTheSixth(EventSource):
+    """Makes five of its ten events' rows, then fails making the sixth."""
+
+    def plan(self, job):
+        self.fields = ["f0"]
+        return 10
+
+    def stream(self, job, event, rows):
+        def made():
+            yield from ((float(i),) for i in range(5))
+            raise AlgorithmFailure("no sixth row")
+
+        return _numbered(event, made())
+
+
+def test_a_source_failing_while_making_an_event_has_seen_it(tmp_path):
+    # the event in flight is the one being made: five rows left, the sixth
+    # event was seen
+    job = run_job(demo_config(tmp_path / "six.pdc", algorithms=("FailsMakingTheSixth",)),
+                  (*standard_catalogue(), FailsMakingTheSixth))
+    assert job.report.error == "execute: no sixth row"
+    assert (job.report.events_seen, job.report.events_written) == (5, 5)
+    assert job.events.index == 5
 
 
 def test_initialize_failure_skips_execute(tmp_path):

@@ -1,9 +1,23 @@
 """Generator golden vectors, frozen from an independent straight-line run,
-and the lane-parallel batch path checked against the stateful reference."""
+the lane-parallel batch path checked against the stateful reference bit for
+bit, and the forked draw worker's bytes and life cycle."""
 
+import gc
+import os
+import signal
+import threading
+from array import array
+
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from provrun.rng import LANES, SplitMix64, draw_doubles
+import provrun.rng
+from provrun import Kind, PhaseStatus, build_job, read_block, run_job, standard_catalogue
+from provrun.algorithms import Algorithm
+from provrun.errors import AlgorithmFailure
+from provrun.rng import FORK_DRAWS, LANES, SplitMix64, doubles, draw_doubles
+
+from helpers import demo_config
 
 # widely published reference stream for seed 0
 SEED0_FIRST4 = [
@@ -58,6 +72,11 @@ def test_doubles_are_uniform_unit_interval():
     assert all(float(int(d * (1 << 53))) == d * (1 << 53) for d in draws)
 
 
+def bits(draws) -> bytes:
+    """The doubles' bits: float == cannot tell -0.0 from +0.0."""
+    return array("d", draws).tobytes()
+
+
 # --- draw_doubles -----------------------------------------------------------------
 
 # both paths reduce the seed mod 2**64: -1 and 2**64 - 1 are one seed
@@ -75,12 +94,193 @@ _EDGE_COUNTS = (0, 1, LANES - 1, LANES, LANES + 1)
 @example(seed=2**64, start=1000, count=LANES)
 @example(seed=-12345, start=1000, count=LANES + 1)
 def test_draw_doubles_equals_the_stateful_reference(seed, start, count):
-    rng = SplitMix64(seed)
-    stream = [rng.next_double() for _ in range(start + count)]
-    assert draw_doubles(seed, start, count) == stream[start:]
+    reference = SplitMix64(seed)
+    stream = [reference.next_double() for _ in range(start + count)]
+    assert bits(draw_doubles(seed, start, count)) == bits(stream[start:])
 
 
 def test_draw_doubles_equals_the_straight_line_stream():
     seed, start, count = 2**64 - 1, 777, 3 * LANES + 11
     words = reference_stream(seed, start + count)[start:]
-    assert draw_doubles(seed, start, count) == [(w >> 11) / 2**53 for w in words]
+    assert bits(draw_doubles(seed, start, count)) == bits([(w >> 11) / 2**53 for w in words])
+
+
+# the top 53 bits x of a draw at the edges of the slot layout's two cases
+_EDGE_XS = (0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1)
+
+
+@pytest.mark.parametrize("junk", [0, 2**11 - 1])
+def test_the_slot_layout_makes_each_double_with_one_exact_subtraction(junk):
+    # each draw z = x·2^11 + junk in its lane's low word, and junk in the
+    # lane's upper bits, as the lane arithmetic leaves them
+    lanes = len(_EDGE_XS)
+    z = sum(((x << 11 | junk) | junk << 100) << (128 * i) for i, x in enumerate(_EDGE_XS))
+    cut = (1 << (128 * lanes)) - 1
+    slots = provrun.rng._layout(z, provrun.rng._HALVES & cut).to_bytes(16 * lanes, "little")
+    assert bits(doubles([slots])) == bits([x * 2**-53 for x in _EDGE_XS])
+    assert bits(doubles([slots]))[:8] == bytes(8)  # +0.0, not -0.0
+
+
+# --- the forked draw worker ---------------------------------------------------------
+
+def _forks(monkeypatch) -> list:
+    """The pids of the draw workers forked from here on."""
+    pids = []
+
+    def fork(real=os.fork):
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@pytest.mark.parametrize("count", [FORK_DRAWS - 1, FORK_DRAWS])
+def test_a_run_forks_a_worker_from_its_break_even_on(monkeypatch, count):
+    forked = _forks(monkeypatch)
+    draws = draw_doubles(2019, 5, count)
+    assert len(forked) == (count >= FORK_DRAWS)
+    assert bits(draws[-3:]) == bits(draw_doubles(2019, 5 + count - 3, 3))
+
+
+def test_a_run_does_not_fork_while_another_thread_runs(monkeypatch):
+    forked = _forks(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        draws = draw_doubles(7, 0, FORK_DRAWS)
+    finally:
+        release.set()
+        other.join()
+    assert forked == []
+    assert bits(draws) == bits(draw_doubles(7, 0, FORK_DRAWS))
+
+
+def test_a_run_does_not_fork_while_the_process_ignores_its_children(monkeypatch):
+    # the kernel would reap the worker, leaving no exit status to check
+    forked = _forks(monkeypatch)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        draws = draw_doubles(7, 0, FORK_DRAWS)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert forked == []
+    assert bits(draws) == bits(draw_doubles(7, 0, FORK_DRAWS))
+
+
+def _generate(out, field_count, events=None, later=(), **assignments):
+    """A generate job of `field_count` fields, by default of just enough
+    events to fork a worker, then the `later` algorithms."""
+    if events is None:
+        events = FORK_DRAWS // field_count + 1
+    return demo_config(out, algorithms=("RandomEventSource", *later),
+                       RandomEventSource__Seed=-5, RandomEventSource__NumEvents=events,
+                       RandomEventSource__FieldCount=field_count, **assignments)
+
+
+@pytest.mark.parametrize("field_count", [3, 2051])
+def test_a_job_writes_the_same_bytes_through_the_worker_and_in_process(
+        tmp_path, monkeypatch, field_count):
+    # 3 and 2051 fields: rows straddle the edges of the 2048-draw chunks
+    out = tmp_path / "out.pdc"
+    pids = _forks(monkeypatch)
+    assert run_job(_generate(out, field_count)).report.succeeded
+    assert len(pids) == 1
+    forked = out.read_bytes()
+    monkeypatch.delattr(os, "fork")
+    assert run_job(_generate(out, field_count)).report.succeeded
+    assert out.read_bytes() == forked
+
+
+class StopsAt(Algorithm):
+    """At event `At`, raises an AlgorithmFailure ("fail") or a
+    KeyboardInterrupt ("interrupt"), as `How` says."""
+
+    PROPERTIES = (("At", Kind.INTEGER, 0), ("How", Kind.TEXT, "fail"))
+
+    def process(self, job, event):
+        if event.index == self.value("At"):
+            if self.value("How") == "interrupt":
+                raise KeyboardInterrupt
+            raise AlgorithmFailure(f"stopped at event {event.index}")
+        return True
+
+
+def _stopped(out, at, how):
+    return _generate(out, 4, later=("StopsAt",), StopsAt__At=at, StopsAt__How=how)
+
+
+def _first_rows(tmp_path, events):
+    """The `events` block of the first `events` four-field events."""
+    whole = tmp_path / "whole.pdc"
+    assert run_job(_generate(whole, 4, events)).report.succeeded
+    payload = read_block(whole, "events")
+    whole.unlink()
+    return payload
+
+
+def _no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_later_stage_failing_ends_the_worker_with_execute(tmp_path, monkeypatch):
+    pids = _forks(monkeypatch)
+    out = tmp_path / "stopped.pdc"
+    job = build_job(_stopped(out, 7000, "fail"), (*standard_catalogue(), StopsAt))
+    assert job.initialize() is PhaseStatus.OK
+    assert job.execute() is PhaseStatus.FAILED
+    assert len(pids) == 1
+    _no_child()  # while the job and its failure's traceback live on
+    assert job.finalize() is PhaseStatus.OK
+    assert (job.report.events_seen, job.report.events_written) == (7000, 7000)
+    assert read_block(out, "events") == _first_rows(tmp_path, 7000)
+    assert [p.name for p in tmp_path.iterdir()] == ["stopped.pdc"]
+
+
+def test_an_interrupt_mid_stream_ends_the_worker(tmp_path, monkeypatch):
+    pids = _forks(monkeypatch)
+    out = tmp_path / "interrupted.pdc"
+    # past the first 256 KiB unit, so the output's temporary file exists
+    job = build_job(_stopped(out, 9000, "interrupt"), (*standard_catalogue(), StopsAt))
+    job.initialize()
+    with pytest.raises(KeyboardInterrupt):
+        job.execute()
+    assert len(pids) == 1
+    _no_child()
+    assert not out.exists()
+    assert len(list(tmp_path.glob("*.tmp"))) == 1
+    del job
+    gc.collect()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("chunks", [2, None])
+def test_a_worker_that_exits_early_fails_execute(tmp_path, monkeypatch, chunks):
+    # the worker writes `chunks` chunks (None: all of them), then exits with
+    # status 1: a short read, or a full read and a failed exit
+    out = tmp_path / "short.pdc"
+    config = _generate(out, 4)
+    planned = config.get("RandomEventSource.NumEvents").value
+    made = planned if chunks is None else chunks * LANES // 4
+    expected = _first_rows(tmp_path, made)
+
+    def lanes(seed, start, count, real=provrun.rng._lanes):
+        whole = real(seed, start, count)
+        yield from (whole if chunks is None else (next(whole) for _ in range(chunks)))
+        raise RuntimeError("the worker broke")
+
+    monkeypatch.setattr(provrun.rng, "_lanes", lanes)
+    pids = _forks(monkeypatch)
+    job = run_job(config)
+    assert len(pids) == 1
+    _no_child()
+    message = ("the draw worker exited with status 1" if chunks is None
+               else f"the draw worker stopped after {chunks * LANES} of {4 * planned} draws")
+    assert job.report.error == f"execute: {message}"
+    assert (job.report.events_seen, job.report.events_written) == (made, made)
+    assert read_block(out, "events") == expected
+    assert [p.name for p in tmp_path.iterdir()] == ["short.pdc"]
