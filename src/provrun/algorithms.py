@@ -97,11 +97,10 @@ class RandomEventSource(EventSource):
     """Uniform [0,1) fields f0..f{k-1}, one SplitMix64 draw per field per
     event in event-major order; identical seeds give identical payloads.
     The draws come as one stream (`rng.lane_chunks`), zipped into rows. A
-    job of at least `rng.FORK_DRAWS` draws, in a process that has POSIX
-    `fork`, runs one Python thread and does not ignore SIGCHLD, forks a
-    worker at its first row to compute them; the worker writes no file,
-    only the pipe the job reads, and the rows are identical either way.
-    `close` ends the worker."""
+    job of at least `rng.FORK_DRAWS` draws computes them in a worker,
+    forked at its first row when `workers` allows one; the worker writes
+    no file, only the pipe the job reads, and the rows are identical
+    either way. `close` ends the worker."""
 
     PROPERTIES = (
         ("Seed", Kind.INTEGER, 0),

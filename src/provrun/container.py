@@ -21,7 +21,9 @@ The TOC sits at the end, after the payloads whose offsets and checksums it
 records, so the writer (`ContainerWriter`) need not know a block before it
 comes: it streams the header, each payload as its pieces arrive (chaining
 the block's crc32c over them), the TOC and the trailer in order to a
-temporary file beside the target. Only `toc_offset` is not known when the
+temporary file beside the target; the CRC of a block that comes in units,
+like a job's `events` block, is chained in a worker fed over a pipe when
+the fork rule of `workers` allows one. Only `toc_offset` is not known when the
 header is written; it is written as 0 and patched last, and then the
 temporary file is renamed onto the target (`AtomicFile`): a failed or
 unfinished write leaves any earlier file at that path as it was. Readers
@@ -37,9 +39,10 @@ import itertools
 import os
 import struct
 import weakref
+from functools import partial
 from typing import BinaryIO, Iterable, Optional, Sequence, Union
 
-from . import options
+from . import options, workers
 from .crc import crc32c
 from .metadata import MetadataDictionary
 from .errors import (
@@ -67,6 +70,7 @@ _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _TOC_OFFSET_AT = _HEADER.size - _U64.size  # where the header holds toc_offset
 _COMPARE_PIECE = 256 * 1024  # bytes of each block that differing_blocks reads at a time
+_FEED_PIECE = 256 * 1024  # the most a checksum worker takes from its feed at a time
 
 
 def encode_table(entries: Sequence[tuple[str, bytes]]) -> bytes:
@@ -191,31 +195,78 @@ def refuse_overwrite(source, target) -> None:
             f"{os.fspath(target)!r} would overwrite the input {os.fspath(source)!r}")
 
 
+def _chain_fed(crc: int, feed, results) -> None:
+    """A checksum worker's work: the crc32c of the bytes fed, continued
+    from `crc`, as 4 bytes. It takes what the pipe holds, so it never waits
+    for bytes that are not yet written."""
+    for piece in iter(partial(feed.read1, _FEED_PIECE), b""):
+        crc = crc32c(piece, crc)
+    results.write(_U32.pack(crc))
+
+
 class ContainerWriter(AtomicFile):
     """A container written to `path` as its blocks come: the header, with a
     placeholder `toc_offset`, at once; then each block's bytes as they are
     `add`ed, chaining its crc32c over them, until `end_block` names them;
     then, at `finish`, the `info` block, the TOC, the trailer, the real
-    `toc_offset` and the rename."""
+    `toc_offset` and the rename. A block that comes in units (`add_unit`)
+    may have its crc32c chained by a worker instead."""
 
     def __init__(self, path):
         super().__init__(path)
         self._blocks: dict[str, tuple[int, int, int]] = {}  # offset, length, crc32c
         self._crc = 0  # of the bytes added since the last block ended
+        self._summer: Optional[workers.Worker] = None  # chains the block's crc32c
+        self._in_units = False  # whether the block has had a unit
         self.write(_HEADER.pack(MAGIC, FORMAT_VERSION, 0))
         self._start = self.size
 
     def add(self, piece) -> None:
         with self:
-            self._crc = crc32c(piece, self._crc)
+            if self._summer is not None:
+                self._summer.feed.write(piece)
+            else:
+                self._crc = crc32c(piece, self._crc)
             self.write(piece)
+
+    @property
+    def feeds_worker(self) -> bool:
+        """Whether a worker chains the block's crc32c."""
+        return self._summer is not None
+
+    def add_unit(self, unit) -> None:
+        """`add` one of the units a block comes in. At the block's first
+        unit the writer decides, once, where the rest of its crc32c is
+        chained: in a worker fed over a pipe, when `workers` allows one,
+        else here."""
+        if not self._in_units:
+            self._in_units = True
+            self._summer = workers.start("checksum", partial(_chain_fed, self._crc),
+                                         fed=True)
+        self.add(unit)
 
     def end_block(self, name: str) -> None:
         """Make the bytes added since the last block ended the block `name`."""
         if name in self._blocks:
             raise DuplicateBlock(f"block {name!r} given twice")
+        if self._summer is not None:
+            with self:
+                self._summer.feed.close()
+                crc = self._summer.results.read(_U32.size)
+                if len(crc) < _U32.size:
+                    raise WriteFailure(f"cannot write {self.path}: "
+                                       f"the checksum worker stopped early")
+                self._summer.wait()
+                self._summer = None
+                (self._crc,) = _U32.unpack(crc)
         self._blocks[name] = (self._start, self.size - self._start, self._crc)
-        self._start, self._crc = self.size, 0
+        self._start, self._crc, self._in_units = self.size, 0, False
+
+    def abandon(self) -> None:
+        if self._summer is not None:
+            self._summer.kill()
+            self._summer = None
+        super().abandon()
 
     def add_block(self, name: str, payload) -> None:
         if name == INFO_BLOCK:

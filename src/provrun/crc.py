@@ -40,6 +40,21 @@ distance to the end of the run, never on the bytes before it.
   after L1..Li-1) ^ R(Li). Z_192 is four 256-entry tables, zlib's
   `crc32_combine` idea (M. Adler) and the folding of Gopal et al., "Fast
   CRC Computation for Generic Polynomials Using PCLMULQDQ" (Intel, 2009).
+- `_register` runs a register over data[pos:end] on these paths, so a
+  split check runs each half in place.
+
+Because of the same fact, a run splits: D = A + B ends in
+Z_|B|(register after A) ^ R(B). `crc32c` checks an input of `SPLIT_BYTES`
+or more in two halves when the fork rule of `workers` allows a worker: it
+cuts the input at a lane boundary near the middle, a worker computes R of
+the second half from the bytes it shares copy-on-write and writes back its
+4 bytes, the caller runs the first half meanwhile, and the two are joined
+with Z_n. Z_n is multiplication by x^(8n) mod P: square-and-multiply over
+the bits of n, with the powers x^(8·2^k) mod P precomputed (zlib's
+`crc32_combine`). Both halves are walked by offset, so neither is copied.
+`SPLIT_BYTES` comes from the break-even measured in CHANGES.md: below
+about 800 KB the fork costs more than the half it saves, and from 1 MiB
+the split wins clearly.
 
 Every table is built at import from `_T0`, one zero byte at a time
 (T_{d+1}[v] = Z_1(T_d[v]) = _T0[T_d[v] & 0xFF] ^ (T_d[v] >> 8)): the
@@ -49,8 +64,12 @@ single-bit bytes 1 << b stepped through 767 zero bytes.
 """
 
 import struct
+from functools import partial
 from itertools import repeat
 from operator import and_
+
+from . import workers
+from .errors import AlgorithmFailure
 
 _POLY = 0x82F63B78
 _LANE = 192  # keeps the column tables, fold tables and masks under 320 KiB
@@ -58,6 +77,7 @@ _CHUNK_LANES = 4096
 _MIN_LANES = 32  # below this the parity path is the faster one
 _SPAN = 4 * _LANE
 _MIN_PARITY = 48  # below this the byte loop is the faster one
+SPLIT_BYTES = 1 << 20  # the size from which a split check wins clearly
 
 
 def _build_table() -> list[int]:
@@ -154,10 +174,76 @@ def _fold_chunk(data, pos: int, lanes: int, reg: int) -> int:
     return reg
 
 
+def _multiply(a: int, b: int) -> int:
+    """a·b mod P, for registers read as polynomials, x^0 at bit 31 (zlib's
+    `multmodp`)."""
+    product = 0
+    while a:
+        if a & 0x80000000:
+            product ^= b
+        a = (a << 1) & 0xFFFFFFFF
+        b = (b >> 1) ^ _POLY if b & 1 else b >> 1
+    return product
+
+
+def _build_powers() -> tuple[int, ...]:
+    """x^(8·2^k) mod P for k = 0 .. 63: Z_(2^k) as a factor."""
+    powers = [1 << 23]  # x^8
+    for _ in range(63):
+        powers.append(_multiply(powers[-1], powers[-1]))
+    return tuple(powers)
+
+
+_POWERS = _build_powers()
+
+
+def _append_zeros(reg: int, n: int) -> int:
+    """Z_n(reg), the raw register `reg` run over n zero bytes: reg·x^(8n)
+    mod P, by square-and-multiply over the bits of n."""
+    for power in _POWERS:
+        if not n:
+            break
+        if n & 1:
+            reg = _multiply(power, reg)
+        n >>= 1
+    return reg
+
+
+def _register(data, pos: int, end: int, reg: int) -> int:
+    """Run the raw register `reg` over data[pos:end]; `data` is a bytes,
+    bytearray or memoryview of bytes, and no more of it than a chunk of
+    lanes of a memoryview is copied."""
+    view = memoryview(data)
+    lanes_left = (end - pos) // _LANE
+    while lanes_left >= _MIN_LANES:
+        lanes = min(lanes_left, _CHUNK_LANES)
+        stop = pos + lanes * _LANE
+        if isinstance(data, (bytes, bytearray)):
+            reg = _fold_chunk(data, pos, lanes, reg)
+        else:  # a memoryview's strided slice has no translate
+            reg = _fold_chunk(bytes(view[pos:stop]), 0, lanes, reg)
+        pos = stop
+        lanes_left -= lanes
+    while end - pos >= _MIN_PARITY:
+        stop = min(pos + _SPAN, end)
+        reg = _parity_span(view[pos:stop], reg)
+        pos = stop
+    if pos < end:
+        return _crc32c_bytewise(view[pos:end], reg ^ 0xFFFFFFFF) ^ 0xFFFFFFFF
+    return reg
+
+
+def _write_register(data, pos: int, end: int, feed, results) -> None:
+    """A worker's half of a split check: R(data[pos:end]), as 4 bytes."""
+    results.write(_register(data, pos, end, 0).to_bytes(4, "little"))
+
+
 def crc32c(data: bytes, crc: int = 0) -> int:
     """The CRC-32C of `data`, continued from `crc`, the CRC-32C of the bytes
     before it: crc32c(b + c) == crc32c(c, crc32c(b)). A memoryview counts
-    by its bytes, whatever its item format; a non-contiguous one is refused."""
+    by its bytes, whatever its item format; a non-contiguous one is refused.
+    An input of `SPLIT_BYTES` bytes or more is checked in two halves, the second
+    by a worker, when `workers` allows one."""
     if not 0 <= crc <= 0xFFFFFFFF:
         raise ValueError(f"crc {crc!r} is outside 0..0xFFFFFFFF")
     if isinstance(data, memoryview):
@@ -165,23 +251,19 @@ def crc32c(data: bytes, crc: int = 0) -> int:
     n = len(data)
     if n < _MIN_PARITY:
         return _crc32c_bytewise(data, crc)
-    view = memoryview(data)
     reg = crc ^ 0xFFFFFFFF
-    pos = 0
-    lanes_left = n // _LANE
-    while lanes_left >= _MIN_LANES:
-        lanes = min(lanes_left, _CHUNK_LANES)
-        end = pos + lanes * _LANE
-        if isinstance(data, (bytes, bytearray)):
-            reg = _fold_chunk(data, pos, lanes, reg)
-        else:  # a memoryview's strided slice has no translate
-            reg = _fold_chunk(bytes(view[pos:end]), 0, lanes, reg)
-        pos = end
-        lanes_left -= lanes
-    while n - pos >= _MIN_PARITY:
-        end = min(pos + _SPAN, n)
-        reg = _parity_span(view[pos:end], reg)
-        pos = end
-    if pos < n:
-        return _crc32c_bytewise(view[pos:], reg ^ 0xFFFFFFFF)
-    return reg ^ 0xFFFFFFFF
+    if n >= SPLIT_BYTES:
+        half = n // (2 * _LANE) * _LANE
+        worker = workers.start("checksum", partial(_write_register, data, half, n))
+        if worker is not None:
+            try:
+                reg = _register(data, 0, half, reg)
+                second = worker.results.read(4)
+                if len(second) < 4:
+                    raise AlgorithmFailure("the checksum worker stopped early")
+            except BaseException:
+                worker.kill()
+                raise
+            worker.wait()
+            return _append_zeros(reg, n - half) ^ int.from_bytes(second, "little") ^ 0xFFFFFFFF
+    return _register(data, 0, n, reg) ^ 0xFFFFFFFF

@@ -28,25 +28,22 @@ Generators", OOPSLA 2014). Two paths give the same doubles:
   Sterbenz's lemma and equals (x mod 2^52)·2^-53 = x·2^-53; with it set,
   A − 0 = A = 0.5 + (x − 2^52)·2^-53 = x·2^-53.
 
-A run of at least `FORK_DRAWS` draws, in a process that has `os.fork`,
-runs one Python thread and does not ignore SIGCHLD, forks a worker at its
-first chunk. The worker computes the chunks and writes them to a pipe, and
-the run reads them, so the lane arithmetic takes another core. The bytes
-depend only on the seed and the draws' positions, so the doubles are
-identical either way. The worker writes nothing but its pipe and leaves
-through `os._exit` on every path. The run reaps it at its end, or kills
-and reaps it when it is closed early; a short read or a non-zero exit
-status is an `AlgorithmFailure`.
+A run of at least `FORK_DRAWS` draws computes its chunks in a worker when
+the fork rule of `workers` allows one: the worker writes them to a pipe,
+and the run reads them, so the lane arithmetic takes another core. The
+bytes depend only on the seed and the draws' positions, so the doubles are
+identical either way. The run reaps the worker at its end, or kills and
+reaps it when it is closed early; a short read, like a non-zero exit
+status, is an `AlgorithmFailure`.
 """
 
-import os
-import signal
 import sys
-import threading
 from array import array
+from functools import partial
 from itertools import chain
 from operator import sub
 
+from . import workers
 from .errors import AlgorithmFailure
 
 _MASK64 = (1 << 64) - 1
@@ -115,61 +112,32 @@ def _layout(z: int, halves: int) -> int:
 
 def lane_chunks(seed: int, start: int, count: int):
     """The slots of draws start+1 .. start+count of `SplitMix64(seed)`, as
-    bytes, a chunk of up to `LANES` at a time: from a forked worker when
-    the run is long enough to repay the fork and this process can fork
-    safely and reap its child (with SIGCHLD ignored, the kernel reaps it,
-    and its pid may be reused), else made here."""
-    if (count >= FORK_DRAWS and hasattr(os, "fork") and threading.active_count() == 1
-            and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN):
-        yield from _forked(seed, start, count)
-    else:
-        yield from _lanes(seed, start, count)
-
-
-def _forked(seed: int, start: int, count: int):
-    """`_lanes`, made by a forked worker and read from a pipe."""
-    read_end, write_end = os.pipe()
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT,))
-    try:
-        pid = os.fork()
-    except OSError:  # no worker: the draws are made here
-        pid = -1
-    if pid == 0:
-        # the worker: every path ends in os._exit, so it never unwinds into
-        # the frames it was forked from; SIGINT stays blocked, and the run
-        # ends it
-        status = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                for slots in _lanes(seed, start, count):
-                    pipe.write(slots)
-            status = 0
-        finally:
-            os._exit(status)
-    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    os.close(write_end)
-    if pid < 0:
-        os.close(read_end)
+    bytes, a chunk of up to `LANES` at a time: from a worker when the run
+    is long enough to repay the fork and `workers` allows one, else made
+    here."""
+    worker = (workers.start("draw", partial(_write_lanes, seed, start, count))
+              if count >= FORK_DRAWS else None)
+    if worker is None:
         yield from _lanes(seed, start, count)
         return
-    ended = False
     try:
-        with open(read_end, "rb") as pipe:
-            for drawn in range(0, count, LANES):
-                size = _SLOT * min(LANES, count - drawn)
-                slots = pipe.read(size)
-                if len(slots) < size:
-                    raise AlgorithmFailure(
-                        f"the draw worker stopped after {drawn} of {count} draws")
-                yield slots
-        ended = True
-    finally:
-        if not ended:
-            os.kill(pid, signal.SIGKILL)
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status:
-        raise AlgorithmFailure(f"the draw worker exited with status {status}")
+        for drawn in range(0, count, LANES):
+            size = _SLOT * min(LANES, count - drawn)
+            slots = worker.results.read(size)
+            if len(slots) < size:
+                raise AlgorithmFailure(
+                    f"the draw worker stopped after {drawn} of {count} draws")
+            yield slots
+    except BaseException:
+        worker.kill()
+        raise
+    worker.wait()
+
+
+def _write_lanes(seed: int, start: int, count: int, feed, results) -> None:
+    """The worker's side of `lane_chunks`: `_lanes`, written to `results`."""
+    for slots in _lanes(seed, start, count):
+        results.write(slots)
 
 
 def _slot_doubles(slots: bytes):

@@ -203,8 +203,10 @@ class ContainerWriterSvc(Service):
     def keep(self, rows: Iterator[tuple[float, ...]], path, fields: list[str]) -> None:
         """Pack the rows `rows` yields, one float per name of `fields` each,
         a chunk at a time, and stream each full unit into the container at
-        `path` (none when it is empty). Rows are taken one by one, so a row
-        taken before `rows` raises is kept, and none is taken ahead of need."""
+        `path` (none when it is empty); once a worker chains the block's
+        crc32c, stream each chunk, so that the worker is never more than a
+        chunk behind. Rows are taken one by one, so a row taken before
+        `rows` raises is kept, and none is taken ahead of need."""
         row = row_format(len(fields))
         chunk: list[tuple[float, ...]] = []
         while True:
@@ -212,15 +214,16 @@ class ContainerWriterSvc(Service):
                 chunk.extend(islice(rows, _KEEP_CHUNK))
             finally:
                 self.kept.extend(row, chunk)
-            if len(self.kept.body) >= _UNIT:
+            if len(self.kept.body) >= _UNIT or self._output and self._output.feeds_worker:
                 self._stream(path, fields)
             if len(chunk) < _KEEP_CHUNK:
                 return
             chunk.clear()
 
-    def _stream(self, path, fields: list[str]) -> None:
+    def _stream(self, path, fields: list[str], whole: bool = True) -> None:
         """Hand the rows packed so far to the output, opened at the first
-        unit; a failure is kept, for finalize to raise."""
+        unit, as a whole unit or else as the block's last piece; a failure
+        is kept, for finalize to raise."""
         unit = self.kept.take()
         if path and self._failure is None:
             try:
@@ -228,7 +231,7 @@ class ContainerWriterSvc(Service):
                     header = field_table(fields)
                     self._output = ContainerWriter(path)
                     self._output.add(header)
-                self._output.add(unit)
+                (self._output.add_unit if whole else self._output.add)(unit)
             except (WriteFailure, ValueError) as exc:
                 self._failure = exc
 
@@ -245,7 +248,7 @@ class ContainerWriterSvc(Service):
                 self.kept.check(len(fields))
             except ValueError as exc:
                 raise AlgorithmFailure(f"cannot write the kept events: {exc}") from exc
-            self._stream(path, fields)
+            self._stream(path, fields, whole=False)
             if self._failure is not None:
                 raise self._failure
             self._output.end_block("events")

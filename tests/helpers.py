@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import errno
+import os
 import random
 import string
 import struct
 
-from provrun import Kind, OptionKey, OptionsSet, OptionValue
+from provrun import Kind, OptionKey, OptionsSet, OptionValue, workers
 
 _TEXT_POOL = (string.ascii_letters + string.digits + " _-./:#=[]\"\\\n\t"
               + "äßµ€Ω")
@@ -23,6 +24,22 @@ def demo_config(out_path, *, algorithms=("RandomEventSource", "ThresholdFilter")
     for key, value in assignments.items():
         config.set(key.replace("__", "."), value)
     return config
+
+
+def forks(monkeypatch, cpus: int = 2) -> list:
+    """The pids of the workers forked from here on, by a process that may
+    use `cpus` CPUs."""
+    monkeypatch.setattr(workers, "USABLE_CPUS", cpus)
+    pids = []
+
+    def fork(real=os.fork):
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
 
 
 def random_finite_double(rnd: random.Random) -> float:

@@ -1,23 +1,33 @@
 """CRC-32C: every path (byte-serial, parity spans, lanes) checked against a
-table-free bit loop at its thresholds and against the RFC 3720 vectors, and
-the lane path cross-checked against the table loop over random lengths."""
+table-free bit loop at its thresholds and against the RFC 3720 vectors, the
+lane path cross-checked against the table loop over random lengths, and the
+split check's halves and join against the unsplit check."""
 
+import os
 import random
+import struct
 import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from provrun import crc as crc_module
+from provrun import ContainerReader, crc as crc_module, write_container
 from provrun.crc import (
+    SPLIT_BYTES,
     _CHUNK_LANES,
     _LANE,
     _MIN_LANES,
     _MIN_PARITY,
     _SPAN,
+    _append_zeros,
     _crc32c_bytewise,
+    _register,
     crc32c,
 )
+from provrun.errors import AlgorithmFailure, ChecksumMismatch
+
+from helpers import forks
+from test_rng import _no_child
 
 KIB, MIB = 1024, 1024 * 1024
 _SETTINGS = settings(max_examples=8)
@@ -216,3 +226,100 @@ def test_the_kernel_tables_stay_small():
              + size(crc_module._MASKS) + sum(map(size, crc_module._MASKS))
              + sum(size(fold) + sum(map(size, fold)) for fold in folds))
     assert total <= 320 * KIB, f"{total} bytes"
+
+
+# --- the split check: the halves joined by Z_n ------------------------------------
+
+def _join(crc: int, second: int, n: int) -> int:
+    """The CRC-32C of a + b, from crc = crc32c(a, c) and b's raw register,
+    R(b) from a zero register, n = len(b)."""
+    return _append_zeros(crc ^ 0xFFFFFFFF, n) ^ second ^ 0xFFFFFFFF
+
+
+@settings(max_examples=30)
+@given(a=st.binary(max_size=8 * KIB), b=st.binary(max_size=8 * KIB), c=_crcs)
+@example(a=b"", b=b"", c=0)
+@example(a=b"123", b=b"456789", c=0)
+@example(a=_data(_SPAN + 5, 1), b=_data(_MIN_LANES * _LANE + 7, 2), c=0xFFFFFFFF)
+def test_a_check_is_the_join_of_its_halves(a, b, c):
+    assert crc32c(a + b, c) == _join(crc32c(a, c), _register(b, 0, len(b), 0), len(b))
+
+
+def _zero_byte(reg: int) -> int:
+    """The raw register after one zero byte, through the table loop."""
+    return _crc32c_bytewise(b"\x00", reg ^ 0xFFFFFFFF) ^ 0xFFFFFFFF
+
+
+def test_appending_zeros_matches_the_table_loop_up_to_2048_bytes():
+    for start in (0x1EDC6F41, 0xFFFFFFFF, 1):
+        reg = start
+        for n in range(2049):
+            assert _append_zeros(start, n) == reg, (start, n)
+            reg = _zero_byte(reg)
+
+
+@pytest.mark.parametrize("n", [65_537, MIB, 3_000_001])
+def test_appending_many_zeros_matches_the_table_loop(n):
+    reg = 0x0BADF00D
+    assert _append_zeros(reg, n) == _crc32c_bytewise(bytes(n), reg ^ 0xFFFFFFFF) ^ 0xFFFFFFFF
+
+
+_SPLIT_LENGTHS = [SPLIT_BYTES - 1, SPLIT_BYTES, SPLIT_BYTES + 1, SPLIT_BYTES + 191,
+                  3 * MIB // 2 + 77]
+
+
+@pytest.fixture(scope="module")
+def split_input():
+    return _data(_SPLIT_LENGTHS[-1], 41)
+
+
+@pytest.mark.parametrize("n", _SPLIT_LENGTHS)
+@pytest.mark.parametrize("form", ["bytes", "bytearray", "doubles"])
+def test_a_split_check_equals_the_unsplit_one(monkeypatch, split_input, form, n):
+    if form == "doubles":
+        n -= n % 8
+    data = split_input[:n]
+    if form == "bytearray":
+        data = bytearray(data)
+    elif form == "doubles":
+        data = memoryview(data).cast("d")
+    pids = forks(monkeypatch)
+    split = crc32c(data, _INITIAL_CRC)
+    assert len(pids) == (n >= SPLIT_BYTES)
+    monkeypatch.delattr(os, "fork")
+    assert split == crc32c(data, _INITIAL_CRC)
+
+
+def test_a_refused_check_forks_no_worker(monkeypatch):
+    pids = forks(monkeypatch)
+    with pytest.raises(ValueError, match="outside 0..0xFFFFFFFF"):
+        crc32c(bytes(SPLIT_BYTES), 1 << 32)
+    with pytest.raises(TypeError, match="C-contiguous"):
+        crc32c(memoryview(bytes(2 * SPLIT_BYTES))[::2])
+    assert pids == []
+
+
+def test_a_forged_toc_offset_fails_its_split_check_and_leaves_no_child(tmp_path, monkeypatch):
+    # the TOC "found" at the end of the header runs over the whole payload
+    path = tmp_path / "forged.pdc"
+    write_container(path, [("events", _data(2 * MIB, 43))])
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<Q", data, 12, 20)
+    path.write_bytes(data)
+    pids = forks(monkeypatch)
+    with pytest.raises(ChecksumMismatch, match="table of contents"):
+        ContainerReader(path)
+    assert len(pids) == 1
+    _no_child()
+
+
+def test_a_split_check_whose_worker_fails_raises(monkeypatch):
+    def broken(data, pos, end, feed, results):
+        raise RuntimeError("the worker broke")
+
+    monkeypatch.setattr(crc_module, "_write_register", broken)
+    pids = forks(monkeypatch)
+    with pytest.raises(AlgorithmFailure, match="the checksum worker stopped early"):
+        crc32c(bytes(SPLIT_BYTES))
+    assert len(pids) == 1
+    _no_child()

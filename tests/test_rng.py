@@ -17,7 +17,7 @@ from provrun.algorithms import Algorithm
 from provrun.errors import AlgorithmFailure
 from provrun.rng import FORK_DRAWS, LANES, SplitMix64, doubles, draw_doubles
 
-from helpers import demo_config
+from helpers import demo_config, forks
 
 # widely published reference stream for seed 0
 SEED0_FIRST4 = [
@@ -123,30 +123,16 @@ def test_the_slot_layout_makes_each_double_with_one_exact_subtraction(junk):
 
 # --- the forked draw worker ---------------------------------------------------------
 
-def _forks(monkeypatch) -> list:
-    """The pids of the draw workers forked from here on."""
-    pids = []
-
-    def fork(real=os.fork):
-        pid = real()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
 @pytest.mark.parametrize("count", [FORK_DRAWS - 1, FORK_DRAWS])
 def test_a_run_forks_a_worker_from_its_break_even_on(monkeypatch, count):
-    forked = _forks(monkeypatch)
+    forked = forks(monkeypatch)
     draws = draw_doubles(2019, 5, count)
     assert len(forked) == (count >= FORK_DRAWS)
     assert bits(draws[-3:]) == bits(draw_doubles(2019, 5 + count - 3, 3))
 
 
 def test_a_run_does_not_fork_while_another_thread_runs(monkeypatch):
-    forked = _forks(monkeypatch)
+    forked = forks(monkeypatch)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
@@ -161,7 +147,7 @@ def test_a_run_does_not_fork_while_another_thread_runs(monkeypatch):
 
 def test_a_run_does_not_fork_while_the_process_ignores_its_children(monkeypatch):
     # the kernel would reap the worker, leaving no exit status to check
-    forked = _forks(monkeypatch)
+    forked = forks(monkeypatch)
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
         draws = draw_doubles(7, 0, FORK_DRAWS)
@@ -186,9 +172,11 @@ def test_a_job_writes_the_same_bytes_through_the_worker_and_in_process(
         tmp_path, monkeypatch, field_count):
     # 3 and 2051 fields: rows straddle the edges of the 2048-draw chunks
     out = tmp_path / "out.pdc"
-    pids = _forks(monkeypatch)
+    pids = forks(monkeypatch)
     assert run_job(_generate(out, field_count)).report.succeeded
-    assert len(pids) == 1
+    # the draws of 20 events of 2051 fields end before their first unit is
+    # written, so the writer then forks a checksum worker
+    assert len(pids) == {3: 1, 2051: 2}[field_count]
     forked = out.read_bytes()
     monkeypatch.delattr(os, "fork")
     assert run_job(_generate(out, field_count)).report.succeeded
@@ -228,7 +216,7 @@ def _no_child():
 
 
 def test_a_later_stage_failing_ends_the_worker_with_execute(tmp_path, monkeypatch):
-    pids = _forks(monkeypatch)
+    pids = forks(monkeypatch)
     out = tmp_path / "stopped.pdc"
     job = build_job(_stopped(out, 7000, "fail"), (*standard_catalogue(), StopsAt))
     assert job.initialize() is PhaseStatus.OK
@@ -242,7 +230,7 @@ def test_a_later_stage_failing_ends_the_worker_with_execute(tmp_path, monkeypatc
 
 
 def test_an_interrupt_mid_stream_ends_the_worker(tmp_path, monkeypatch):
-    pids = _forks(monkeypatch)
+    pids = forks(monkeypatch)
     out = tmp_path / "interrupted.pdc"
     # past the first 256 KiB unit, so the output's temporary file exists
     job = build_job(_stopped(out, 9000, "interrupt"), (*standard_catalogue(), StopsAt))
@@ -274,7 +262,7 @@ def test_a_worker_that_exits_early_fails_execute(tmp_path, monkeypatch, chunks):
         raise RuntimeError("the worker broke")
 
     monkeypatch.setattr(provrun.rng, "_lanes", lanes)
-    pids = _forks(monkeypatch)
+    pids = forks(monkeypatch)
     job = run_job(config)
     assert len(pids) == 1
     _no_child()
