@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .options import KeyLike, OptionsSet, emit_canonical, value_to_text
+from .options import OptionsSet, emit_canonical, value_to_text
 
 
 class MetadataDictionary:
@@ -31,24 +31,23 @@ class MetadataDictionary:
 
     def items(self) -> list[tuple[str, str]]:
         """(full dotted key, canonical value text) pairs in key-byte order."""
-        return [(key.text, value_to_text(value)) for key, value in self._options]
+        return [(key, value_to_text(value)) for key, value in self._options]
 
     def keys(self) -> list[str]:
-        return [key.text for key in self._options.keys()]
+        return self._options.keys()
 
-    def get(self, key: KeyLike, default=None):
+    def get(self, key: str, default=None):
         value = self._options.get(key)
         return default if value is None else value_to_text(value)
 
     def without(self, *keys: str) -> "MetadataDictionary":
-        dropped = set(keys)
         return MetadataDictionary(OptionsSet(
-            (key, value) for key, value in self._options if key.text not in dropped))
+            (key, value) for key, value in self._options if key not in keys))
 
-    def __getitem__(self, key: KeyLike) -> str:
+    def __getitem__(self, key: str) -> str:
         return value_to_text(self._options[key])
 
-    def __contains__(self, key: KeyLike) -> bool:
+    def __contains__(self, key: str) -> bool:
         return key in self._options
 
     def __len__(self) -> int:

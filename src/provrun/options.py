@@ -11,6 +11,10 @@ of any set reproduces the set; re-emitting is a byte fixpoint.
 
 Tokens, one compiled pattern each (``[0-9]`` is ASCII only):
 
+- plain line, tried first: one match takes an assignment as canonical
+  emission writes it, its value an escape-free string, an integer of at most
+  19 digits, a float, a boolean or a ``", "``-joined list of escape-free
+  strings. Every other line, and one whose number is out of range, is scanned
 - line head: one match takes a blank line, a ``#`` comment, or an
   assignment's blank, key, blank, ``=`` and blank up to its value. A key
   is two or more ``[A-Za-z_][A-Za-z0-9_]*`` segments joined by ``.``. A
@@ -26,7 +30,7 @@ Tokens, one compiled pattern each (``[0-9]`` is ASCII only):
 
 A list is ``[]`` or ``[v, ...]`` of scalars of one kind. Every syntax error
 is an ``OptionsSyntaxError`` with the 1-based line and column where the
-scanner stopped.
+scanner stopped: errors come only from the token scanner.
 
 ``OptionValue.of`` is the one checked way to make a value: the Python type gives
 the kind, the value must lie in its domain; there is no ``OptionValue(kind, value)``.
@@ -37,9 +41,9 @@ from __future__ import annotations
 import math
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional
 
 from .errors import InvalidOptionValue, KindMismatch, OptionsSyntaxError
 
@@ -172,51 +176,55 @@ class KindSpec:
         return f"list of {self.elem.value}" if self.elem else self.kind.value
 
 
-@dataclass(frozen=True, slots=True)
-class OptionKey:
-    """Dotted key: the first segment names a component, the rest a property;
-    `text` is the whole dotted key."""
+class OptionKey(str):
+    """Dotted key: the first segment names a component, the rest a property.
 
-    component: str
-    prop: str
-    text: str = field(init=False, repr=False, compare=False)
+    A key is its dotted text: it hashes, compares and sorts as that text,
+    and equals the plain string of it (`OptionKey("A", "B") == "A.B"`).
+    """
 
-    def __post_init__(self):
-        component, prop = self.component, self.prop
+    __slots__ = ()
+
+    def __new__(cls, component: str, prop: str) -> "OptionKey":
         if not (_IDENT_RE.match(component) and _PROPERTY_RE.match(prop)):
             if not prop:
                 raise InvalidOptionValue(f"key {component!r} needs at least two segments")
             bad = next(segment for segment in (component, *prop.split("."))
                        if not _IDENT_RE.match(segment))  # name the first bad one
             raise InvalidOptionValue(f"bad key segment {bad!r} in {component}.{prop}")
-        object.__setattr__(self, "text", f"{component}.{prop}")
+        return _new_str(cls, f"{component}.{prop}")
 
     @classmethod
     def _checked(cls, component: str, prop: str) -> "OptionKey":
         """A key from segments the caller has already checked."""
-        key = _new(cls)
-        _set_component(key, component)
-        _set_prop(key, prop)
-        _set_text(key, f"{component}.{prop}")
-        return key
+        return _new_str(cls, f"{component}.{prop}")
 
     @classmethod
     def parse(cls, text: str) -> "OptionKey":
         component, _, prop = text.partition(".")
         return cls(component, prop)
 
-    def __str__(self):
-        return self.text
+    @property
+    def component(self) -> str:
+        return self.partition(".")[0]
+
+    @property
+    def prop(self) -> str:
+        return self.partition(".")[2]
+
+    text = property(str.__str__, doc="The dotted key as a plain string.")
+
+    def __getnewargs__(self):  # pickle and copy call __new__ with these
+        return self.component, self.prop
+
+    def __repr__(self):
+        return f"OptionKey(component={self.component!r}, prop={self.prop!r})"
 
 
-# The slots' own setters: `_checked` fills a new instance through them,
-# past the immutability guards and without a `__setattr__` lookup.
-_new = object.__new__
+# `_checked` fills a new instance through the slots' own setters, past the
+# immutability guard and without a `__setattr__` lookup.
+_new, _new_str = object.__new__, str.__new__
 _set_kind, _set_value = OptionValue.kind.__set__, OptionValue.value.__set__
-_set_component, _set_prop, _set_text = (
-    OptionKey.component.__set__, OptionKey.prop.__set__, OptionKey.text.__set__)
-
-KeyLike = Union[OptionKey, str]
 
 
 class OptionsSet:
@@ -230,20 +238,20 @@ class OptionsSet:
                 self.set(key, value)
 
     @staticmethod
-    def _as_key(key: KeyLike) -> OptionKey:
+    def _as_key(key: str) -> OptionKey:
         return key if isinstance(key, OptionKey) else OptionKey.parse(key)
 
-    def set(self, key: KeyLike, value) -> None:
+    def set(self, key: str, value) -> None:
         """Assign, overriding any previous value for the key."""
         self._entries[self._as_key(key)] = OptionValue.of(value)
 
-    def get(self, key: KeyLike, default=None) -> Optional[OptionValue]:
+    def get(self, key: str, default=None) -> Optional[OptionValue]:
         return self._entries.get(self._as_key(key), default)
 
-    def __getitem__(self, key: KeyLike) -> OptionValue:
+    def __getitem__(self, key: str) -> OptionValue:
         return self._entries[self._as_key(key)]
 
-    def __contains__(self, key: KeyLike) -> bool:
+    def __contains__(self, key: str) -> bool:
         return self._as_key(key) in self._entries
 
     def __len__(self) -> int:
@@ -254,10 +262,10 @@ class OptionsSet:
 
     def items(self) -> list[tuple[OptionKey, OptionValue]]:
         # UTF-8 preserves code-point order, so plain str order is key-byte order
-        return sorted(self._entries.items(), key=lambda kv: kv[0].text)
+        return sorted(self._entries.items())  # keys are unique: values never compare
 
     def keys(self) -> list[OptionKey]:
-        return [key for key, _ in self.items()]
+        return sorted(self._entries)
 
     def copy(self) -> "OptionsSet":
         out = OptionsSet()
@@ -276,16 +284,20 @@ class OptionsSet:
 # --- parsing ----------------------------------------------------------------
 
 _BLANK_RE = re.compile(r"[ \t]*")
-# A blank line, a comment, or an assignment's head up to its value.
-_HEAD_RE = re.compile(rf"[ \t]*(?:({_IDENT})\.({_IDENT}(?:\.{_IDENT})*)[ \t]*=[ \t]*|#|\Z)")
+# An assignment's head up to its value; the group is the dotted key.
+_ASSIGN = rf"[ \t]*({_IDENT}\.{_IDENT}(?:\.{_IDENT})*)[ \t]*=[ \t]*"
+# A blank line, a comment, or an assignment's head.
+_HEAD_RE = re.compile(rf"{_ASSIGN}|[ \t]*(?:#|\Z)")
 _KEY_RE = re.compile(r"\w*(?:\.\w*)*")
 _WORD_RE = re.compile(r"\w*")
 # Empty digit groups match so that the scanner can name the missing digits.
 _NUMBER_RE = re.compile(r"-?([0-9]*)(?:\.([0-9]*))?(?:[eE][+-]?([0-9]*))?")
 _HEX4_RE = re.compile(r"[0-9a-fA-F]{4}")
+# A string body character that needs no escape.
+_TEXT_CHAR = r'[^"\\\x00-\x08\x0a-\x1f\ud800-\udfff]'
 # The longest valid body, then the closing quote if there is one.
 _STRING_RE = re.compile(
-    r'"((?:[^"\\\x00-\x08\x0a-\x1f\ud800-\udfff]+|\\["\\ntr]'
+    rf'"((?:{_TEXT_CHAR}+|\\["\\ntr]'
     r"|\\u(?:[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}"
     r"|(?![dD][89a-fA-F])[0-9a-fA-F]{4}))*)(\")?")
 _ESCAPE_RE = re.compile(r"\\(?:u([dD][89abAB]..)\\u(....)|u(....)|(.))", re.DOTALL)
@@ -294,6 +306,14 @@ _TEXT_ESCAPE_RE = re.compile(r'["\\\x00-\x1f]')
 _SIMPLE_ESCAPES = {escape[1]: ch for ch, escape in _TEXT_ESCAPES.items()}
 _BOOLEANS = {"true": OptionValue.of(True), "false": OptionValue.of(False)}
 _CR_MESSAGE = "carriage return: documents use LF line endings"
+# A whole line in a form that canonical emission writes: the key, then one
+# value group of the kind `_PLAIN_KINDS` gives at its number.
+_PLAIN_RE = re.compile(
+    rf'{_ASSIGN}(?:"({_TEXT_CHAR}*)"|(-?(?:0|[1-9][0-9]{{0,18}}))'
+    r"|(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))"
+    rf'|(true|false)|\[("{_TEXT_CHAR}*"(?:, "{_TEXT_CHAR}*")*)\])[ \t]*\Z')
+_PLAIN_KINDS = (None, None, Kind.TEXT, Kind.INTEGER, Kind.FLOAT, Kind.BOOLEAN, Kind.LIST)
+_INTEGER, _FLOAT, _BOOLEAN, _LIST = range(3, 7)  # value groups, by number
 
 
 class _ScanError(Exception):
@@ -423,27 +443,60 @@ def _scan_number(text: str, pos: int) -> tuple[OptionValue, int]:
     return OptionValue._checked(Kind.FLOAT, value), match.end()
 
 
+def _plain_assignment(line: str) -> Optional[tuple[OptionKey, OptionValue]]:
+    """The assignment on `line` if `_PLAIN_RE` takes it and its number lies
+    in the value domain; None hands the line to the token scanner."""
+    match = _PLAIN_RE.match(line)
+    if match is None:
+        return None
+    group = match.lastindex
+    value = match[group]
+    if group == _INTEGER:
+        if not INT64_MIN <= (value := int(value)) <= INT64_MAX:
+            return None
+    elif group == _FLOAT:
+        if not math.isfinite(value := float(value)):
+            return None
+    elif group == _BOOLEAN:
+        value = value == "true"
+    elif group == _LIST:
+        # a list, not a generator: with one, 1e5 parses grew the heap by 140 KiB
+        texts = value[1:-1].split('", "')
+        value = tuple([OptionValue._checked(Kind.TEXT, text) for text in texts])
+    return _new_str(OptionKey, match[1]), OptionValue._checked(_PLAIN_KINDS[group], value)
+
+
+def _scan_assignment(line: str) -> Optional[tuple[OptionKey, OptionValue]]:
+    """The assignment on `line`, token by token; None for a blank or comment.
+    Raises `_ScanError` at the first error."""
+    head = _HEAD_RE.match(line)
+    if head is None:
+        raise _head_error(line)
+    if head[1] is None:
+        return None
+    value, pos = _scan_value(line, head.end())
+    if pos < len(line):
+        pos = _BLANK_RE.match(line, pos).end()
+        if pos < len(line):
+            raise _ScanError(_CR_MESSAGE if line[pos] == "\r"
+                             else "unexpected text after value", pos)
+    return _new_str(OptionKey, head[1]), value
+
+
 def parse_options(text: str) -> OptionsSet:
     """Parse a document; later assignments to a key override earlier ones."""
     out = OptionsSet()
     entries = out._entries
     for line_no, line in enumerate(text.split("\n"), start=1):
-        head = _HEAD_RE.match(line)
-        try:
-            if head is None:
-                raise _head_error(line)
-            component, prop = head.groups()
-            if component is None:
+        entry = _plain_assignment(line)
+        if entry is None:
+            try:
+                entry = _scan_assignment(line)
+            except _ScanError as exc:
+                raise OptionsSyntaxError(exc.args[0], line_no, exc.args[1] + 1) from None
+            if entry is None:
                 continue  # blank or comment
-            value, pos = _scan_value(line, head.end())
-            if pos < len(line):
-                pos = _BLANK_RE.match(line, pos).end()
-                if pos < len(line):
-                    raise _ScanError(_CR_MESSAGE if line[pos] == "\r"
-                                     else "unexpected text after value", pos)
-        except _ScanError as exc:
-            raise OptionsSyntaxError(exc.args[0], line_no, exc.args[1] + 1) from None
-        entries[OptionKey._checked(component, prop)] = value
+        entries[entry[0]] = entry[1]
     return out
 
 

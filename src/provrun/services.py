@@ -128,14 +128,15 @@ class JobOptionsSvc(Service):
     def apply_all(self, job) -> list[tuple[OptionKey, OptionValue]]:
         self.applied_log = []
         for key, value in job.config:
-            if key.component == LINEAGE_COMPONENT:
+            component, _, prop = key.partition(".")  # one split, not three properties
+            if component == LINEAGE_COMPONENT:
                 job.lineage.declare(key, value)
             else:
-                target = job.find_component(key.component)
+                target = job.find_component(component)
                 if target is None:
                     raise UnknownComponent(
                         f"assignment {key.text} names no component in this job")
-                target.apply(key.prop, value)
+                target.apply(prop, value)
             self.applied_log.append((key, value))
         return list(self.applied_log)
 

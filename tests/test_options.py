@@ -1,5 +1,7 @@
 """Options language: grammar, set semantics, canonical emission."""
 
+import copy
+import pickle
 import random
 import string
 import struct
@@ -13,14 +15,16 @@ from provrun import (
     OptionsSet,
     OptionValue,
     emit_canonical,
+    extract_info,
     parse_options,
     parse_value,
+    run_job,
     value_to_text,
 )
 from provrun.errors import InvalidOptionValue, OptionsSyntaxError
-from provrun.options import INT64_MAX, INT64_MIN
+from provrun.options import INT64_MAX, INT64_MIN, _plain_assignment, _scan_assignment
 
-from helpers import random_finite_double, random_options_set
+from helpers import demo_config, random_finite_double, random_options_set
 
 
 def bits(x: float) -> bytes:
@@ -226,6 +230,84 @@ def test_emit_after_parse_is_a_byte_fixpoint(text):
     assert emit_canonical(parse_options(emitted)) == emitted
 
 
+# --- the one-match route ----------------------------------------------------
+
+def _bits_of(value):
+    """A value's kind and content, each float as its bits: -0.0 is not 0.0."""
+    if value.kind is Kind.FLOAT:
+        return value.kind, bits(value.value)
+    if value.kind is Kind.LIST:
+        return value.kind, tuple(map(_bits_of, value.value))
+    return value.kind, value.value
+
+
+_text_list = st.lists(st.text(max_size=4).map(lambda v: value_to_text(OptionValue.of(v))),
+                      min_size=1, max_size=3).map(lambda items: "[" + ", ".join(items) + "]")
+_plain_line = st.tuples(_key, _blank, _blank, st.one_of(_scalar, _text_list), _blank).map(
+    lambda p: f"{p[1]}{p[0]}{p[1]}={p[2]}{p[3]}{p[4]}")
+
+
+@settings(max_examples=300)
+@given(line=st.one_of(_line, _plain_line), seed=st.integers(0, 2**32 - 1))
+@example(line="A.B = -0.0", seed=0)
+@example(line='A.B = ["a, b", ""]', seed=0)
+def test_one_match_route_agrees_with_the_scanner(line, seed):
+    canonical = emit_canonical(random_options_set(random.Random(seed), max_keys=8))
+    for text in [line, *canonical.splitlines()]:
+        entry = _plain_assignment(text)
+        if entry is not None:
+            (key, value), (scanned_key, scanned) = entry, _scan_assignment(text)
+            assert type(key) is OptionKey and key == scanned_key
+            assert _bits_of(value) == _bits_of(scanned)
+
+
+_HANDED_TO_THE_SCANNER = [  # (line, its value, or the error's message and column)
+    ('A.B = "x\\n"', OptionValue.of("x\n")),
+    ("A.B = 9223372036854775808",
+     ("integer 9223372036854775808 outside the 64-bit signed range", 7)),
+    ("A.B = -9223372036854775809",
+     ("integer -9223372036854775809 outside the 64-bit signed range", 7)),
+    ("A.B = 1e999", ("float literal '1e999' is not a finite double", 7)),
+    ("A.B = 01", ("leading zeros are not allowed", 7)),
+    ("A.B = -", ("expected digits", 7)),
+    ("A.B = 1.", ("expected digits after '.'", 9)),
+    ("A.B = [1, 2]", OptionValue.of([1, 2])),
+    ("A.B = []", OptionValue.of([])),
+    ('A.B = ["a","b"]', OptionValue.of(["a", "b"])),
+    ('A.B = "a" # c', ("unexpected text after value", 11)),
+    ("A.B = 1\r", ("carriage return: documents use LF line endings", 8)),
+    ("A.B = tru", ("unparseable token 'tru'", 7)),
+    ('A.B = "x\ud800"', ("raw surrogate U+D800 in string; use a \\u escape pair", 9)),
+]
+
+
+@pytest.mark.parametrize("line, outcome", _HANDED_TO_THE_SCANNER)
+def test_the_one_match_route_hands_other_lines_to_the_scanner(line, outcome):
+    assert _plain_assignment(line) is None
+    if isinstance(outcome, OptionValue):
+        assert parse_options(line) == OptionsSet([("A.B", outcome)])
+        return
+    with pytest.raises(OptionsSyntaxError) as err:
+        parse_options(line)
+    assert (err.value.args[0], err.value.line, err.value.column) == (outcome[0], 1, outcome[1])
+
+
+def test_every_line_of_a_demo_job_takes_the_one_match_route(tmp_path):
+    first, second = tmp_path / "first.pdc", tmp_path / "second.pdc"
+    configs = [
+        demo_config(first, algorithms=("RandomEventSource", "ThresholdFilter", "Accumulator"),
+                    RandomEventSource__NumEvents=20, ThresholdFilter__Min=0.5,
+                    Accumulator__Field="f0", DemoTool__Gain=2.5),
+        demo_config(second, algorithms=("FileEventSource", "Accumulator"),
+                    FileEventSource__Input=str(first)),
+    ]
+    for config, out in zip(configs, (first, second)):
+        assert run_job(config).report.succeeded
+        for document in (emit_canonical(config), extract_info(out).emit()):
+            for line in document.splitlines():
+                assert _plain_assignment(line) is not None, line
+
+
 def test_final_line_without_newline_is_accepted():
     assert parse_options("A.B = 7")["A.B"] == OptionValue.of(7)
 
@@ -428,3 +510,27 @@ def test_lists_are_homogeneous_but_integer_and_float_distinct():
     assert ints.elem_kind is Kind.INTEGER
     assert floats.elem_kind is Kind.FLOAT
     assert ints != floats
+
+
+def test_a_key_is_its_dotted_text():
+    key = OptionKey("A", "B")
+    assert key == "A.B" and hash(key) == hash("A.B")
+    assert len({"A.B": 1, key: 2}) == 1
+    assert sorted([OptionKey("AB", "x"), "A.C", OptionKey("A", "B.x")]) == ["A.B.x", "A.C", "AB.x"]
+    assert type(key.text) is str and key.text == "A.B"
+
+
+def test_a_key_splits_at_its_first_dot():
+    key = OptionKey.parse("Provenance.Inputs.I0.Path")
+    assert (key.component, key.prop) == ("Provenance", "Inputs.I0.Path")
+
+
+def test_a_key_is_immutable_and_survives_pickle_and_copy():
+    key = OptionKey("Provenance", "Inputs.I0.Path")
+    assert repr(key) == "OptionKey(component='Provenance', prop='Inputs.I0.Path')"
+    for name in ("component", "prop", "text", "other"):
+        with pytest.raises(AttributeError):
+            setattr(key, name, "X")
+    for twin in (pickle.loads(pickle.dumps(key)), copy.copy(key), copy.deepcopy(key)):
+        assert type(twin) is OptionKey and twin == key
+        assert (twin.component, twin.prop) == (key.component, key.prop)
