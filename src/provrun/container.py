@@ -115,6 +115,20 @@ def decode_table(data: bytes, tail: struct.Struct = _NO_TAIL
 _TEMPORARIES = itertools.count()  # one temporary name per write in this process
 
 
+def _temporary_name(path) -> str:
+    """`<path>.<pid>.<n>.tmp`, the name of `path` cut to fit its directory's
+    name limit."""
+    directory, sep, name = os.fspath(path).rpartition(os.sep)
+    suffix = f".{os.getpid()}.{next(_TEMPORARIES)}.tmp"
+    try:
+        room = os.pathconf(directory + sep or os.curdir, "PC_NAME_MAX") - len(suffix)
+    except (AttributeError, OSError, ValueError):  # no limit to read
+        room = 0
+    while 0 < room < len(os.fsencode(name)):
+        name = name[:-1]  # whole characters, so the name stays valid text
+    return directory + sep + name + suffix
+
+
 def _remove_temporary(close, temporary: str) -> None:
     """Close a temporary file and remove it, as far as the system lets."""
     with contextlib.suppress(OSError):
@@ -125,7 +139,8 @@ def _remove_temporary(close, temporary: str) -> None:
 
 class AtomicFile:
     """Bytes written to `path` through a temporary file beside it,
-    `<path>.<pid>.<n>.tmp`, opened at the first write; `commit` renames it
+    `<path>.<pid>.<n>.tmp` with the name of `path` cut to fit the
+    directory's name limit, opened at the first write; `commit` renames it
     onto `path`. A failed write or commit, `abandon`, a failure inside
     `with`, and a file dropped uncommitted close and remove the temporary,
     leaving any earlier file at `path` as it was. An OSError is raised as
@@ -171,7 +186,7 @@ class AtomicFile:
         # a temporary is opened once: once closed, nothing more is written
         if self._temporary is not None:
             raise WriteFailure(f"cannot write {self.path}: its temporary file is closed")
-        self._temporary = f"{os.fspath(self.path)}.{os.getpid()}.{next(_TEMPORARIES)}.tmp"
+        self._temporary = _temporary_name(self.path)
         closing = contextlib.ExitStack()
         self._file = closing.enter_context(open(self._temporary, "wb"))
         self._close = closing.close
@@ -241,8 +256,7 @@ class ContainerWriter(AtomicFile):
         else here."""
         if not self._in_units:
             self._in_units = True
-            self._summer = workers.start("checksum", partial(_chain_fed, self._crc),
-                                         fed=True)
+            self._summer = workers.start("checksum", partial(_chain_fed, self._crc))
         self.add(unit)
 
     def end_block(self, name: str) -> None:

@@ -258,8 +258,6 @@ class Job:
         rows = repeat((), planned)  # the source makes each event's row
         for alg in self.algorithms:
             rows = alg.stream(self, event, rows)
-        kept = self.writer.kept
-        written = kept.count
         try:
             # draws the events through every stage, one at a time
             self.writer.keep(rows, self.app.value("OutputFile"), event.fields)
@@ -267,8 +265,8 @@ class Job:
             planned = event.index  # the event in flight is not seen
             raise
         finally:  # exact counts even when an algorithm raises
-            self.report.events_seen += planned
-            self.report.events_written += kept.count - written
+            self.report.events_seen = planned
+            self.report.events_written = self.writer.kept.count
             if isinstance(source, EventSource):
                 source.close(self)
         self.msg.log(LEVEL_INFO, "ApplicationMgr",

@@ -3,11 +3,15 @@
 Reflected polynomial 0x82F63B78, init and final xor 0xFFFFFFFF.
 crc32c(b"123456789") == 0xE3069283.
 
-Three paths give the same value. All rest on one fact: the register
-update is linear over GF(2). Write T_d[v] for the register that byte v
-followed by d zero bytes leaves behind, starting from a zero register,
-and Z_d for the map that appends d zero bytes to a register. Running
-data D from register r then ends in
+Three paths give the same value. `crc32c` sends every input, and each half
+of a split check in place, through one dispatch, `_register`: lanes while
+32 or more remain, then parity spans while 48 bytes or more remain, then
+the byte loop over the rest, so an input under 48 bytes takes the byte
+loop alone. All three rest on one fact: the register update is linear
+over GF(2). Write T_d[v] for the register that byte v followed by d zero
+bytes leaves behind, starting from a zero register, and Z_d for the map
+that appends d zero bytes to a register. Running data D from register r
+then ends in
 
     Z_|D|(r) ^ R(D),  R(D) = XOR over positions i of T_{|D|-1-i}[D[i]],
 
@@ -15,8 +19,7 @@ so a byte's share of the result depends only on its value and its
 distance to the end of the run, never on the bytes before it.
 
 - `_crc32c_bytewise`, the one-table loop (Sarwate, CACM 1988), is the
-  reference. `crc32c` uses it for inputs under 48 bytes and for the
-  last remainder under 48 bytes of longer ones.
+  reference, and takes the last remainder under 48 bytes.
 - The parity path takes inputs from 48 bytes up to the lane threshold,
   and the remainder after the lanes, a span of up to 768 bytes at a
   time. Xoring a register r into the first four bytes of a span (r's
@@ -40,8 +43,6 @@ distance to the end of the run, never on the bytes before it.
   after L1..Li-1) ^ R(Li). Z_192 is four 256-entry tables, zlib's
   `crc32_combine` idea (M. Adler) and the folding of Gopal et al., "Fast
   CRC Computation for Generic Polynomials Using PCLMULQDQ" (Intel, 2009).
-- `_register` runs a register over data[pos:end] on these paths, so a
-  split check runs each half in place.
 
 Because of the same fact, a run splits: D = A + B ends in
 Z_|B|(register after A) ^ R(B). `crc32c` checks an input of `SPLIT_BYTES`
@@ -249,8 +250,6 @@ def crc32c(data: bytes, crc: int = 0) -> int:
     if isinstance(data, memoryview):
         data = data.cast("B")
     n = len(data)
-    if n < _MIN_PARITY:
-        return _crc32c_bytewise(data, crc)
     reg = crc ^ 0xFFFFFFFF
     if n >= SPLIT_BYTES:
         half = n // (2 * _LANE) * _LANE

@@ -192,12 +192,11 @@ class OptionKey(str):
             bad = next(segment for segment in (component, *prop.split("."))
                        if not _IDENT_RE.match(segment))  # name the first bad one
             raise InvalidOptionValue(f"bad key segment {bad!r} in {component}.{prop}")
-        return _new_str(cls, f"{component}.{prop}")
+        return cls._checked(f"{component}.{prop}")
 
-    @classmethod
-    def _checked(cls, component: str, prop: str) -> "OptionKey":
-        """A key from segments the caller has already checked."""
-        return _new_str(cls, f"{component}.{prop}")
+    # the key of dotted text that the caller has already checked, made with
+    # no Python frame, as the parser makes one per line
+    _checked = classmethod(str.__new__)
 
     @classmethod
     def parse(cls, text: str) -> "OptionKey":
@@ -223,12 +222,13 @@ class OptionKey(str):
 
 # `_checked` fills a new instance through the slots' own setters, past the
 # immutability guard and without a `__setattr__` lookup.
-_new, _new_str = object.__new__, str.__new__
+_new = object.__new__
 _set_kind, _set_value = OptionValue.kind.__set__, OptionValue.value.__set__
 
 
 class OptionsSet:
-    """Uniquely-keyed assignments; iteration is sorted by key bytes."""
+    """Uniquely-keyed assignments; iteration is sorted by key bytes. A lookup
+    takes a key as its text, so a malformed key is absent; `set` checks it."""
 
     def __init__(self, entries=None):
         self._entries: dict[OptionKey, OptionValue] = {}
@@ -237,22 +237,19 @@ class OptionsSet:
             for key, value in items:
                 self.set(key, value)
 
-    @staticmethod
-    def _as_key(key: str) -> OptionKey:
-        return key if isinstance(key, OptionKey) else OptionKey.parse(key)
-
     def set(self, key: str, value) -> None:
         """Assign, overriding any previous value for the key."""
-        self._entries[self._as_key(key)] = OptionValue.of(value)
+        key = key if isinstance(key, OptionKey) else OptionKey.parse(key)
+        self._entries[key] = OptionValue.of(value)
 
     def get(self, key: str, default=None) -> Optional[OptionValue]:
-        return self._entries.get(self._as_key(key), default)
+        return self._entries.get(key, default)
 
     def __getitem__(self, key: str) -> OptionValue:
-        return self._entries[self._as_key(key)]
+        return self._entries[key]
 
     def __contains__(self, key: str) -> bool:
-        return self._as_key(key) in self._entries
+        return key in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -463,7 +460,7 @@ def _plain_assignment(line: str) -> Optional[tuple[OptionKey, OptionValue]]:
         # a list, not a generator: with one, 1e5 parses grew the heap by 140 KiB
         texts = value[1:-1].split('", "')
         value = tuple([OptionValue._checked(Kind.TEXT, text) for text in texts])
-    return _new_str(OptionKey, match[1]), OptionValue._checked(_PLAIN_KINDS[group], value)
+    return OptionKey._checked(match[1]), OptionValue._checked(_PLAIN_KINDS[group], value)
 
 
 def _scan_assignment(line: str) -> Optional[tuple[OptionKey, OptionValue]]:
@@ -480,7 +477,7 @@ def _scan_assignment(line: str) -> Optional[tuple[OptionKey, OptionValue]]:
         if pos < len(line):
             raise _ScanError(_CR_MESSAGE if line[pos] == "\r"
                              else "unexpected text after value", pos)
-    return _new_str(OptionKey, head[1]), value
+    return OptionKey._checked(head[1]), value
 
 
 def parse_options(text: str) -> OptionsSet:

@@ -51,7 +51,7 @@ class MetaDataSvc(Service):
         snapshot = OptionsSet()
         for component in job.components.values():
             for prop_name, value in component.values.items():
-                snapshot.set(OptionKey._checked(component.name, prop_name), value)
+                snapshot.set(OptionKey._checked(f"{component.name}.{prop_name}"), value)
         for key, value in job.lineage.items():
             snapshot.set(key, value)
         return MetadataDictionary(snapshot)

@@ -151,9 +151,3 @@ def _slot_doubles(slots: bytes):
 def doubles(chunks):
     """The draws of `chunks` of slots, as floats, one per slot."""
     return chain.from_iterable(map(_slot_doubles, chunks))
-
-
-def draw_doubles(seed: int, start: int, count: int) -> list[float]:
-    """Draws start+1 .. start+count of `SplitMix64(seed)`, as `next_double`
-    returns them."""
-    return list(doubles(lane_chunks(seed, start, count)))

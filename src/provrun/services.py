@@ -37,7 +37,7 @@ LEVEL_ERROR = 4
 
 _LEVEL_NAMES = {0: "DEBUG", 1: "VERBOSE", 2: "INFO", 3: "WARNING", 4: "ERROR"}
 
-_KEEP_CHUNK = 1024  # rows the writer holds as tuples before it packs them
+_KEEP_BYTES = 32 * 1024  # packed size of the most rows the writer holds as tuples
 _UNIT = 256 * 1024  # packed bytes the writer holds before it streams them out
 
 
@@ -209,15 +209,16 @@ class ContainerWriterSvc(Service):
         chunk behind. Rows are taken one by one, so a row taken before
         `rows` raises is kept, and none is taken ahead of need."""
         row = row_format(len(fields))
+        chunk_rows = _KEEP_BYTES // max(row.size, 32)  # 1024 rows of up to four fields
         chunk: list[tuple[float, ...]] = []
         while True:
             try:
-                chunk.extend(islice(rows, _KEEP_CHUNK))
+                chunk.extend(islice(rows, chunk_rows))
             finally:
                 self.kept.extend(row, chunk)
             if len(self.kept.body) >= _UNIT or self._output and self._output.feeds_worker:
                 self._stream(path, fields)
-            if len(chunk) < _KEEP_CHUNK:
+            if len(chunk) < chunk_rows:
                 return
             chunk.clear()
 

@@ -2,9 +2,11 @@
 
 A worker is a child process that takes a share of a job's work on another
 core. It computes from the copy-on-write memory it shares with the job,
-may be fed bytes over a pipe (`Worker.feed`), and hands its result back
-over another (`Worker.results`). Its result is the one the job would have
-computed itself, so a job's bytes are the same whether it forks or not.
+and every worker has the same two pipes: a feed that the job may write
+bytes to (`Worker.feed`), which a worker that needs no input ignores, and
+the pipe it hands its result back over (`Worker.results`). Its result is
+the one the job would have computed itself, so a job's bytes are the same
+whether it forks or not.
 Three callers fork one: `rng.lane_chunks` for a long run of draws,
 `crc.crc32c` for a big check, and `container.ContainerWriter` for the CRC
 of a block that comes in units.
@@ -22,8 +24,9 @@ The fork rule. `start` forks only
   `USABLE_CPUS` being the CPUs that `os.sched_getaffinity` lets it run on:
   one worker on two CPUs, none on one.
 
-Otherwise, or when the fork fails, `start` returns None, and the caller
-does the work itself.
+Otherwise, or when a pipe or the fork fails (a failed pipe counts as a
+failed fork, and `start` closes every pipe it opened), `start` returns
+None, and the caller does the work itself.
 
 SIGINT is blocked across the fork and stays blocked in the worker, so an
 interrupt reaches the job alone, which then ends the worker. The worker
@@ -76,9 +79,8 @@ def _reap(pid: int, pipes: tuple, kill: bool) -> int:
     if kill:
         os.kill(pid, signal.SIGKILL)
     for pipe in pipes:
-        if pipe is not None:
-            with contextlib.suppress(OSError):  # a feed that the worker left unread
-                pipe.close()
+        with contextlib.suppress(OSError):  # a feed that the worker left unread
+            pipe.close()
     _alive -= 1
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
@@ -86,10 +88,9 @@ def _reap(pid: int, pipes: tuple, kill: bool) -> int:
 class Worker:
     """The job's side of a forked worker: `results`, the pipe it reads the
     worker's result from, and `feed`, the pipe it writes the worker's
-    input to, if the worker is fed."""
+    input to."""
 
-    def __init__(self, name: str, pid: int, results: BinaryIO,
-                 feed: Optional[BinaryIO]):
+    def __init__(self, name: str, pid: int, results: BinaryIO, feed: BinaryIO):
         self.name = name
         self.pid = pid
         self.results = results
@@ -109,21 +110,18 @@ class Worker:
         self._kill()
 
 
-def start(name: str, work: Callable[[Optional[BinaryIO], BinaryIO], None],
-          fed: bool = False) -> Optional[Worker]:
+def start(name: str, work: Callable[[BinaryIO, BinaryIO], None]) -> Optional[Worker]:
     """Fork the worker `name`, which runs work(feed, results) on its ends of
-    the pipes, `feed` being None unless it is `fed`; or None when the fork
-    rule allows no worker or the fork fails."""
+    the pipes; or None when the fork rule allows no worker, or a pipe or
+    the fork fails."""
     global _alive, _in_worker
     if not _may_fork():
         return None
-    results_read, results_write = os.pipe()
-    feed_read, feed_write = os.pipe() if fed else (-1, -1)
-    if fed and fcntl is not None:
-        with contextlib.suppress(OSError):  # above the system's limit
-            fcntl(feed_write, F_SETPIPE_SZ, _PIPE_SIZE)
+    fds: list[int] = []  # results_read, results_write, feed_read, feed_write
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT,))
     try:
+        fds += os.pipe()
+        fds += os.pipe()
         pid = os.fork()
     except OSError:
         pid = -1
@@ -131,24 +129,20 @@ def start(name: str, work: Callable[[Optional[BinaryIO], BinaryIO], None],
         status = 1
         try:
             _in_worker = True
-            os.close(results_read)
-            if fed:
-                os.close(feed_write)
-            with (open(feed_read, "rb") if fed else contextlib.nullcontext()) as feed, \
-                    open(results_write, "wb") as results:
+            os.close(fds[0])
+            os.close(fds[3])
+            with open(fds[2], "rb") as feed, open(fds[1], "wb") as results:
                 work(feed, results)
             status = 0
         finally:
             os._exit(status)
     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    os.close(results_write)
-    if fed:
-        os.close(feed_read)
+    for fd in fds if pid < 0 else fds[1:3]:  # every end, or the worker's
+        os.close(fd)
     if pid < 0:
-        os.close(results_read)
-        if fed:
-            os.close(feed_write)
         return None
+    if fcntl is not None:
+        with contextlib.suppress(OSError):  # above the system's limit
+            fcntl(fds[3], F_SETPIPE_SZ, _PIPE_SIZE)
     _alive += 1
-    return Worker(name, pid, open(results_read, "rb"),
-                  open(feed_write, "wb") if fed else None)
+    return Worker(name, pid, open(fds[0], "rb"), open(fds[3], "wb"))

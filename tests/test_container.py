@@ -279,6 +279,32 @@ def test_failed_rename_leaves_no_temporary(tmp_path):
     assert list(target.iterdir()) == []
 
 
+def test_a_target_of_the_longest_file_name_is_written(tmp_path):
+    out = tmp_path / ("a" * 251 + ".pdc")  # 255 bytes
+    job = run_job(demo_config(out, algorithms=("RandomEventSource",),
+                              RandomEventSource__NumEvents=10))
+    assert job.report.succeeded, job.report.error
+    assert len(read_block(out, "events")) > 10 * 8
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
+def test_two_writers_of_one_long_path_get_distinct_temporaries(tmp_path):
+    path = tmp_path / ("b" * 251 + ".pdc")
+    first, second = provrun.container.AtomicFile(path), provrun.container.AtomicFile(path)
+    first.write(b"first")
+    second.write(b"second")
+    temporaries = [p.name for p in tmp_path.iterdir()]
+    assert len(set(temporaries)) == 2
+    for name in temporaries:
+        assert len(name.encode()) <= 255
+        assert name.startswith("b" * 200) and name.endswith(".tmp")
+        assert f".{os.getpid()}." in name
+    second.commit()
+    first.abandon()
+    assert path.read_bytes() == b"second"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 class _BrokenSource(Exception):
     pass
 

@@ -77,3 +77,13 @@ def test_a_file_source_job_does_not_hold_its_output(tmp_path):
     assert os.path.getsize(out) > 8 * _UNIT
     limit = os.path.getsize(source) + 4 * _UNIT
     assert peak <= limit, f"peak {peak / 2**20:.2f} MiB over {limit / 2**20:.2f} MiB"
+
+
+def test_a_wide_generate_job_holds_about_one_unit(tmp_path):
+    # rows of 2051 fields are packed one at a time, not a thousand at once
+    out = tmp_path / "wide.pdc"
+    peak = _peak_of_job(demo_config(out, algorithms=("RandomEventSource",),
+                                    RandomEventSource__Seed=3, RandomEventSource__NumEvents=200,
+                                    RandomEventSource__FieldCount=2051))
+    assert os.path.getsize(out) > 12 * _UNIT
+    assert peak <= 8 * _UNIT, f"peak {peak / 2**20:.2f} MiB"

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from provrun import (
@@ -17,6 +18,7 @@ from provrun import (
 )
 
 from helpers import random_options_set
+from test_options import _MALFORMED_KEYS
 
 
 def test_items_sorted_by_key_bytes():
@@ -81,3 +83,12 @@ def test_info_block_roundtrip(tmp_path_factory, rnd):
     assert read_block(path, "info") == emit_canonical(s).encode()
     with ContainerReader(path) as reader:
         assert reader.block_names() == ["events", "info"]  # info is written last
+
+
+@pytest.mark.parametrize("key", _MALFORMED_KEYS)
+def test_a_malformed_key_is_absent_from_the_dictionary(key):
+    d = MetadataDictionary(OptionsSet({"A.B": 1}))
+    assert d.get(key) is None
+    assert key not in d
+    with pytest.raises(KeyError):
+        d[key]

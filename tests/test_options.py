@@ -466,6 +466,24 @@ def test_value_constructor_rejects_bad_values():
         OptionKey("A", "9bad")
 
 
+# a key is looked up by its text, so a malformed one is absent; only `set`
+# checks a key
+_MALFORMED_KEYS = ["", "A", "A.", ".B", "A..B", "A.B.", "1A.B", "A.9bad", "A-B.C", "A.B "]
+
+
+@pytest.mark.parametrize("key", _MALFORMED_KEYS)
+def test_a_malformed_key_is_absent_but_cannot_be_set(key):
+    options = OptionsSet({"A.B": 1})
+    assert options.get(key) is None
+    assert options.get(key, "default") == "default"
+    assert key not in options
+    with pytest.raises(KeyError):
+        options[key]
+    with pytest.raises(InvalidOptionValue):
+        options.set(key, 1)
+    assert options == OptionsSet({"A.B": 1})
+
+
 _IDENT_START = set(string.ascii_letters + "_")
 
 

@@ -3,6 +3,7 @@ cycle of the writer's checksum worker: however a job ends, it leaves no
 child and no temporary file behind, and its bytes are the same whether it
 forked or not."""
 
+import errno
 import os
 import re
 import signal
@@ -13,6 +14,7 @@ import pytest
 import provrun
 import provrun.container
 from provrun import PhaseStatus, build_job, read_block, run_job, standard_catalogue, workers
+from provrun.crc import SPLIT_BYTES, crc32c
 from provrun.errors import WriteFailure
 from provrun.services import _UNIT
 
@@ -130,11 +132,66 @@ def test_a_worker_forks_no_worker(monkeypatch):
 
 
 def test_only_the_workers_module_forks():
-    forking = re.compile(r"\bos\.fork|\bfork(pty)?\s*\(|\bmultiprocessing\b|\bsubprocess\b")
+    # and makes pipes, so that every pipe is made where its failure is handled
+    forking = re.compile(r"\bos\.(fork|pipe)|\bfork(pty)?\s*\(|\bmultiprocessing\b"
+                         r"|\bsubprocess\b")
     package = Path(provrun.__file__).parent
     found = sorted(path.name for path in package.glob("*.py")
                    if forking.search(path.read_text(encoding="utf-8")))
     assert found == ["workers.py"]
+
+
+# --- a failed pipe counts as a failed fork ----------------------------------------
+
+def _descriptors():
+    """The descriptors this process has open, or None where it cannot tell."""
+    try:
+        return sorted(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
+
+def _pipes_fail(monkeypatch, after: int) -> list:
+    """Let `after` calls of os.pipe succeed and fail every later one, as a
+    process out of descriptors does; the calls made."""
+    calls = []
+
+    def pipe(real=os.pipe):
+        calls.append(len(calls))
+        if len(calls) > after:
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        return real()
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    return calls
+
+
+@pytest.mark.parametrize("after", [0, 1], ids=["first_pipe", "second_pipe"])
+def test_a_failed_pipe_checks_in_process_and_closes_what_it_opened(monkeypatch, after):
+    data = bytes(range(256)) * (SPLIT_BYTES // 256) + bytes(10)
+    expected = crc32c(data)
+    pids = forks(monkeypatch)
+    calls = _pipes_fail(monkeypatch, after)
+    before = _descriptors()
+    assert crc32c(data) == expected
+    assert len(calls) == after + 1
+    assert pids == []
+    assert _descriptors() == before
+
+
+@_JOBS
+def test_a_job_whose_pipes_fail_writes_the_same_bytes_in_process(
+        tmp_path, monkeypatch, big_source, kind):
+    out = tmp_path / "out.pdc"
+    assert run_job(_config(kind, out, big_source)).report.succeeded
+    forked = out.read_bytes()
+    pids = forks(monkeypatch)
+    calls = _pipes_fail(monkeypatch, 1)
+    before = _descriptors()
+    assert run_job(_config(kind, out, big_source)).report.succeeded
+    assert calls and pids == []
+    assert _descriptors() == before
+    assert out.read_bytes() == forked
 
 
 # --- the writer's checksum worker, fed the units of the `events` block ---------------
