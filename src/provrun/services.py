@@ -209,7 +209,8 @@ class ContainerWriterSvc(Service):
         chunk behind. Rows are taken one by one, so a row taken before
         `rows` raises is kept, and none is taken ahead of need."""
         row = row_format(len(fields))
-        chunk_rows = _KEEP_BYTES // max(row.size, 32)  # 1024 rows of up to four fields
+        # 1024 rows of up to four fields, and one row of over 32 KiB
+        chunk_rows = max(1, _KEEP_BYTES // max(row.size, 32))
         chunk: list[tuple[float, ...]] = []
         while True:
             try:

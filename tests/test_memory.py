@@ -5,7 +5,10 @@ is streamed to its file a unit at a time, so a job does not hold it: the
 peak does not grow with the output."""
 
 import os
+import signal
 import tracemalloc
+
+import pytest
 
 from provrun import run_job
 from provrun.services import _UNIT
@@ -87,3 +90,34 @@ def test_a_wide_generate_job_holds_about_one_unit(tmp_path):
                                     RandomEventSource__FieldCount=2051))
     assert os.path.getsize(out) > 12 * _UNIT
     assert peak <= 8 * _UNIT, f"peak {peak / 2**20:.2f} MiB"
+
+
+class Overrun(BaseException):
+    """A job ran too long; no `except Exception` in the job can swallow it."""
+
+
+def _finishes(config, seconds=60):
+    """The job of `config`, stopped by an alarm if it runs over `seconds`."""
+    def overrun(signum, frame):
+        raise Overrun(f"the job ran over {seconds} s")
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.alarm(seconds)
+    try:
+        return run_job(config)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("events", [0, 3])
+def test_a_job_of_rows_wider_than_a_chunk_finishes(tmp_path, events):
+    # 4097 fields pack to 32776 bytes a row, over the writer's 32 KiB chunk
+    source, out = tmp_path / "source.pdc", tmp_path / "derived.pdc"
+    made = _finishes(demo_config(source, algorithms=("RandomEventSource",),
+                                 RandomEventSource__Seed=3, RandomEventSource__NumEvents=events,
+                                 RandomEventSource__FieldCount=4097))
+    assert made.report.succeeded, made.report.error
+    read = _finishes(demo_config(out, algorithms=("FileEventSource",),
+                                 FileEventSource__Input=str(source)))
+    assert read.report.succeeded, read.report.error
+    assert os.path.getsize(out) >= events * 4097 * 8
