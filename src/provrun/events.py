@@ -51,13 +51,14 @@ class PackedRows:
             pack_row = row.pack
             try:
                 self.body += b"".join(starmap(pack_row, rows))
-            except Exception:
-                # find the row, one at a time; whatever it raised, `check`
-                # raises at the write, as a whole-list encode there would
+            except (struct.error, TypeError):
+                # what a row that does not fit raises; any other exception,
+                # such as a signal handler's, goes on. Find the row, one at
+                # a time; `check` raises its error at the write
                 for index, kept in enumerate(rows):
                     try:
                         self.body += b"".join(starmap(pack_row, (kept,)))
-                    except Exception as exc:
+                    except (struct.error, TypeError) as exc:
                         self._misfit = (self.count + index, kept, exc)
                         break
         self.count += len(rows)

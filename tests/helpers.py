@@ -9,6 +9,7 @@ import string
 import struct
 
 from provrun import Kind, OptionKey, OptionsSet, OptionValue, workers
+from provrun.crc import _T0, _append_zeros
 
 _TEXT_POOL = (string.ascii_letters + string.digits + " _-./:#=[]\"\\\n\t"
               + "äßµ€Ω")
@@ -40,6 +41,24 @@ def forks(monkeypatch, cpus: int = 2) -> list:
 
     monkeypatch.setattr(os, "fork", fork)
     return pids
+
+
+def fold_widths(piece: int) -> list[int]:
+    """The widths m of `crc`'s folds by their rule: from 64, each next width
+    is the multiple of 8 in [3m/2, 2m - 32] whose x^m mod P has the fewest
+    terms, the first on a tie, until 2m - 32 bits hold a piece of `piece`
+    bytes and the 32 bits of its register."""
+    widths = [64]
+    while 2 * widths[-1] - 32 < 8 * piece + 32:
+        m = widths[-1]
+        first = -(-(3 * m // 2) // 8) * 8
+        residue = _append_zeros(1 << 31, first // 8)  # x^first mod P, x^0 at bit 31
+        terms = []
+        for _ in range(first, 2 * m - 31, 8):
+            terms.append(residue.bit_count())
+            residue = _T0[residue & 0xFF] ^ (residue >> 8)  # times x^8
+        widths.append(first + 8 * terms.index(min(terms)))
+    return widths
 
 
 def random_finite_double(rnd: random.Random) -> float:

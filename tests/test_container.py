@@ -23,7 +23,7 @@ from provrun import (
     run_job,
     write_container,
 )
-from provrun.crc import _CHUNK_LANES, _LANE, crc32c
+from provrun.crc import _PIECE, crc32c
 from provrun.errors import (
     BadMagic,
     ChecksumMismatch,
@@ -37,7 +37,7 @@ from provrun.errors import (
     WriteFailure,
 )
 from provrun.container import _COMPARE_PIECE, differing_blocks, encode_table, extract_info
-from provrun.events import decode_events, encode_events
+from provrun.events import PackedRows, decode_events, encode_events, row_format
 
 from helpers import FailingFile, demo_config
 
@@ -100,7 +100,7 @@ def test_a_missing_file_is_a_container_error(tmp_path):
 
 
 def test_a_bytearray_or_memoryview_payload_writes_the_same_file_as_bytes(tmp_path):
-    # past the lane threshold, so the lane path of the CRC reads the payload; the
+    # past the fold threshold, so the fold path of the CRC reads the payload; the
     # memoryview of doubles is 8 bytes an item, and its block is its bytes
     big, wide = bytes(range(256)) * 200, array.array("d", [1.0, -2.5])
     files = []
@@ -170,18 +170,18 @@ def test_every_payload_byte_flip_is_detected(tmp_path):
     path.write_bytes(original)
 
 
-def test_byte_flips_on_the_lane_path_are_detected(tmp_path):
-    # Two whole chunks of lanes plus an odd tail, so the block CRC takes the
-    # lane path, then a parity span for the tail.
-    lane, chunk = _LANE, _CHUNK_LANES * _LANE
-    payload = random.Random(11).randbytes(2 * chunk + 333)
-    path = tmp_path / "lanes.pdc"
+def test_byte_flips_on_the_fold_path_are_detected(tmp_path):
+    # Two whole pieces plus an odd tail, so the block CRC folds the pieces,
+    # then takes a parity span for the tail.
+    piece = _PIECE
+    payload = random.Random(11).randbytes(2 * piece + 333)
+    path = tmp_path / "pieces.pdc"
     write_container(path, [("events", payload)])
     payload_start = 20
-    first_lane, middle_lane, last_lane = 5, 1000 * lane + 100, chunk - 1
-    second_chunk, tail = chunk + 7, len(payload) - 1
+    first, middle, last = 5, piece // 2 + 100, piece - 1
+    second_piece, tail = piece + 7, len(payload) - 1
     with open(path, "r+b") as handle:
-        for pos in (first_lane, middle_lane, last_lane, second_chunk, tail):
+        for pos in (first, middle, last, second_piece, tail):
             handle.seek(payload_start + pos)
             handle.write(bytes([payload[pos] ^ 0x10]))
             handle.flush()
@@ -520,6 +520,32 @@ def test_events_codec_refuses_a_field_named_twice():
     twice = struct.pack("<I", 2) + (struct.pack("<H", 1) + b"a") * 2
     with pytest.raises(CorruptContainer):
         decode_events(twice + struct.pack("<2d", 1.0, 2.0))
+
+
+class _Interrupted:
+    """A row whose iteration raises as a signal handler's exception would,
+    from its `after`-th iteration on."""
+
+    def __init__(self, after=0):
+        self.after = after
+
+    def __iter__(self):
+        if self.after:
+            self.after -= 1
+            return iter((1.0, 2.0))
+        raise TimeoutError("the alarm rang")
+
+
+@pytest.mark.parametrize("rows", [
+    [(1.0, 2.0), _Interrupted(), (3.0, 4.0)],
+    # the bulk pack stops at the short row, and the row-by-row search is interrupted
+    [_Interrupted(after=1), (1.0,)],
+], ids=["bulk", "search"])
+def test_an_exception_raised_while_rows_are_packed_goes_through(rows):
+    packed = PackedRows()
+    with pytest.raises(TimeoutError, match="the alarm rang"):
+        packed.extend(row_format(2), rows)
+    packed.check(2)  # the interruption is no misfit
 
 
 def test_events_codec_rejects_garbage():

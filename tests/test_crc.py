@@ -1,12 +1,14 @@
-"""CRC-32C: every path (byte-serial, parity spans, lanes) checked against a
+"""CRC-32C: every path (byte-serial, parity span, fold) checked against a
 table-free bit loop at its thresholds and against the RFC 3720 vectors, the
-lane path cross-checked against the table loop over random lengths, and the
-split check's halves and join against the unsplit check."""
+fold cross-checked against the table loop over random lengths, the fold's
+table against its rule, and the split check's halves and join against the
+unsplit check."""
 
 import os
 import random
 import struct
 import sys
+from bisect import bisect_left
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,11 +16,11 @@ from hypothesis import example, given, settings, strategies as st
 from provrun import ContainerReader, crc as crc_module, write_container
 from provrun.crc import (
     SPLIT_BYTES,
-    _CHUNK_LANES,
-    _LANE,
-    _MIN_LANES,
+    _MIN_FOLD,
     _MIN_PARITY,
-    _SPAN,
+    _PIECE,
+    _TAPS,
+    _WIDTHS,
     _append_zeros,
     _crc32c_bytewise,
     _register,
@@ -26,7 +28,7 @@ from provrun.crc import (
 )
 from provrun.errors import AlgorithmFailure, ChecksumMismatch
 
-from helpers import forks
+from helpers import fold_widths, forks
 from test_rng import _no_child
 
 KIB, MIB = 1024, 1024 * 1024
@@ -82,8 +84,8 @@ def test_table_loop_matches_the_bit_loop(data, crc):
     assert _crc32c_bytewise(data, crc) == _crc32c_bitwise(data, crc)
 
 
-# Lengths: up to 40 KiB, across the parity and lane thresholds; up to a few
-# MB, where the input spans several chunks of 4096 lanes (768 KiB each).
+# Lengths: up to 40 KiB, across the parity and fold thresholds; up to a few
+# MB, where the input spans many pieces of 64 KiB.
 _lengths = st.one_of(st.integers(0, 40 * KIB), st.integers(32 * KIB, 5 * MIB // 2))
 _crcs = st.integers(0, 0xFFFFFFFF)
 _seeds = st.integers(0, 2**32 - 1)
@@ -102,7 +104,7 @@ _seeds = st.integers(0, 2**32 - 1)
 @example(n=MIB + 1, seed=9, crc=0)
 @example(n=2 * MIB, seed=10, crc=0)
 @example(n=1_234_567, seed=11, crc=0x0BADF00D)
-@example(n=2_100_003, seed=12, crc=0)  # 10,937 lanes: two whole chunks and one of 2745
+@example(n=2_100_003, seed=12, crc=0)  # 32 whole pieces and one of 2851 bytes
 def test_crc32c_matches_bytewise_reference(n, seed, crc):
     data = _data(n, seed)
     expected = _crc32c_bytewise(data, crc)
@@ -111,40 +113,39 @@ def test_crc32c_matches_bytewise_reference(n, seed, crc):
     assert crc32c(memoryview(b"\x00" + data)[1:], crc) == expected
 
 
-# A split at _LANE*k + r with 0 < r < _LANE falls inside a lane of the whole input.
-_splits = st.builds(lambda k, r: _LANE * k + r, st.integers(0, 8000),
-                    st.integers(1, _LANE - 1))
+# A split at _PIECE*k + r with 0 < r < _PIECE falls inside a piece of the whole input.
+_splits = st.builds(lambda k, r: _PIECE * k + r, st.integers(0, 24),
+                    st.integers(1, _PIECE - 1))
 
 
 @_SETTINGS
-@given(split=_splits, rest=st.integers(0, 3 * MIB // 2), seed=_seeds)
-@example(split=64 * 512 + 1, rest=MIB, seed=1)
-@example(split=2048 * 512 + 511, rest=64 * 512, seed=2)
-@example(split=_MIN_LANES * _LANE + 1, rest=_MIN_LANES * _LANE, seed=3)
-@example(split=_CHUNK_LANES * _LANE + _LANE - 1, rest=_MIN_LANES * _LANE, seed=4)
-def test_crc32c_chains_across_a_split_inside_a_lane(split, rest, seed):
+@given(split=_splits, rest=st.integers(0, 3 * MIB // 2), seed=_seeds, crc=_crcs)
+@example(split=64 * 512 + 1, rest=MIB, seed=1, crc=0)
+@example(split=2048 * 512 + 511, rest=64 * 512, seed=2, crc=0)
+@example(split=_MIN_FOLD + 1, rest=_PIECE, seed=3, crc=0xFFFFFFFF)
+@example(split=2 * _PIECE - 1, rest=_MIN_FOLD, seed=4, crc=0x1EDC6F41)
+def test_crc32c_chains_across_a_split_inside_a_piece(split, rest, seed, crc):
     data = _data(split + rest, seed)
     head, tail = data[:split], data[split:]
-    assert crc32c(tail, crc32c(head)) == crc32c(data)
+    assert crc32c(tail, crc32c(head, crc)) == crc32c(data, crc)
 
 
 # Each family puts lengths at, just below and just above one path's edge.
-# The remainder after the lanes or the last whole span runs byte by byte
-# when it is shorter than _MIN_PARITY, and through one parity span otherwise.
+# The rest after the last whole piece runs byte by byte when it is shorter
+# than _MIN_PARITY, through one parity span when it is shorter than
+# _MIN_FOLD, and is folded as a last piece otherwise.
 _THRESHOLDS = {
     "byte_serial_to_parity": [0, 1, 3, 4, _MIN_PARITY - 1, _MIN_PARITY, _MIN_PARITY + 1],
-    "span_multiples": [k * _SPAN + tail for k in (1, 2, 3) for tail in range(4)]
-    + [_SPAN - 1, 2 * _SPAN + _MIN_PARITY - 1, 2 * _SPAN + _MIN_PARITY],
-    "parity_to_lanes": [_MIN_LANES * _LANE + d for d in (-1, 0, 1)],
-    "lane_remainder": [_MIN_LANES * _LANE + r
-                       for r in (_MIN_PARITY - 1, _MIN_PARITY, _LANE - 1)],
-    "chunk": [_CHUNK_LANES * _LANE + d for d in (-1, 0, 1)]
-    + [(_CHUNK_LANES + 1) * _LANE],
-    # fewer than _MIN_LANES lanes left after whole chunks go to the parity
-    # spans; _MIN_LANES or more make one more chunk
-    "short_last_chunk": [(_CHUNK_LANES + _MIN_LANES - 1) * _LANE + 5,
-                         (_CHUNK_LANES + _MIN_LANES) * _LANE]
-    + [(_CHUNK_LANES + _MIN_LANES - 1) * _LANE + r for r in (0, _MIN_PARITY - 1, _LANE - 1)],
+    "parity_to_fold": [_MIN_FOLD + d for d in (-1, 0, 1)],
+    # (m - 32) / 4 bytes fill width m exactly (2m = N + 32); one more byte
+    # takes the next width
+    "fold_widths": [(m - 32) // 4 + d for m in _WIDTHS for d in (0, 1)
+                    if _MIN_FOLD <= (m - 32) // 4 < _PIECE],
+    "piece": [_PIECE + d for d in (-1, 0, 1)] + [2 * _PIECE],
+    "piece_remainder": [_PIECE + r for r in (3, 4, _MIN_PARITY - 1, _MIN_PARITY,
+                                             _MIN_FOLD - 1)],
+    # a rest of _MIN_FOLD or more after whole pieces is folded as one more piece
+    "short_last_piece": [2 * _PIECE + r for r in (_MIN_FOLD, _MIN_FOLD + 1, _PIECE - 1)],
 }
 _INITIAL_CRC = 0x1EDC6F41
 
@@ -171,15 +172,14 @@ def test_every_path_matches_the_bit_loop_at_its_thresholds(bit_loop_prefixes, fa
             assert crc32c(form, _INITIAL_CRC) == expected[n], (family, n, type(form))
 
 
-# A split at _SPAN*k + r with 0 < r < _SPAN falls inside a parity span.
-_span_splits = st.builds(lambda k, r: _SPAN * k + r, st.integers(0, 6),
-                         st.integers(1, _SPAN - 1))
+# Heads and tails that each take the byte loop, a parity span or the fold.
+_short = st.integers(0, 2 * _MIN_FOLD)
 
 
 @_SETTINGS
-@given(split=_span_splits, rest=st.integers(0, _MIN_LANES * _LANE), seed=_seeds)
-@example(split=_MIN_PARITY + 1, rest=_SPAN, seed=1)
-@example(split=_SPAN + 3, rest=_MIN_PARITY - 1, seed=2)
+@given(split=_short, rest=_short, seed=_seeds)
+@example(split=_MIN_PARITY + 1, rest=_MIN_FOLD, seed=1)
+@example(split=_MIN_FOLD - 1, rest=_MIN_PARITY - 1, seed=2)
 def test_crc32c_chains_across_a_split_inside_a_parity_span(split, rest, seed):
     data = _data(split + rest, seed)
     head, tail = data[:split], data[split:]
@@ -188,8 +188,8 @@ def test_crc32c_chains_across_a_split_inside_a_parity_span(split, rest, seed):
     assert crc32c(data) == expected
 
 
-# one length on each path: the byte loop, the parity spans, the lanes
-@pytest.mark.parametrize("n", [3, 72, _MIN_LANES * _LANE])
+# one length on each path: the byte loop, the parity span, the fold
+@pytest.mark.parametrize("n", [3, 72, 6144])
 @pytest.mark.parametrize("crc", [-1, -0xFFFFFFFF, 1 << 32, 1 << 64])
 def test_a_crc_outside_32_bits_is_refused_on_every_path(n, crc):
     with pytest.raises(ValueError, match="outside 0..0xFFFFFFFF"):
@@ -197,8 +197,8 @@ def test_a_crc_outside_32_bits_is_refused_on_every_path(n, crc):
 
 
 _VIEW_LENGTHS = pytest.mark.parametrize(
-    "n", [_MIN_PARITY - 8, 8 * _MIN_PARITY, (_MIN_LANES + 1) * _LANE + 8],
-    ids=["byte_loop", "parity", "lanes"])
+    "n", [_MIN_PARITY - 8, 8 * (_MIN_FOLD // 8 - 1), _PIECE + _MIN_FOLD + 8],
+    ids=["byte_loop", "parity", "fold"])
 
 
 @_VIEW_LENGTHS
@@ -216,16 +216,66 @@ def test_a_strided_memoryview_is_refused_on_every_path(n):
 
 
 def test_the_kernel_tables_stay_small():
-    """The lane path's per-column tables and fold tables and the parity
-    masks, as Python objects, are resident for the life of the process."""
+    """The one-table loop's table, the parity masks and the fold table, as
+    Python objects, are resident for the life of the process."""
     size = sys.getsizeof
-    columns = crc_module._COLUMNS
-    folds = (crc_module._Z0, crc_module._Z1, crc_module._Z2, crc_module._Z3)
-    total = (size(columns) + sum(size(column) + sum(map(size, column))
-                                 for column in columns)
-             + size(crc_module._MASKS) + sum(map(size, crc_module._MASKS))
-             + sum(size(fold) + sum(map(size, fold)) for fold in folds))
-    assert total <= 320 * KIB, f"{total} bytes"
+
+    def deep(table):
+        return size(table) + sum(deep(item) if isinstance(item, tuple) else size(item)
+                                 for item in table)
+
+    total = sum(map(deep, (tuple(crc_module._T0), crc_module._MASKS, crc_module._WIDTHS,
+                           crc_module._TAPS, crc_module._FOLDS)))
+    assert total <= 96 * KIB, f"{total} bytes"
+
+
+# --- the fold's table --------------------------------------------------------------
+
+def _residue_by_bits(m: int) -> int:
+    """x^m mod P, one bit at a time, x^0 at bit 31."""
+    residue = 1 << 31
+    for _ in range(m):
+        residue = (residue >> 1) ^ (0x82F63B78 if residue & 1 else 0)
+    return residue
+
+
+def test_the_fold_table_keeps_its_laws():
+    assert _WIDTHS[0] == 64
+    for m, taps in zip(_WIDTHS, _TAPS):
+        assert m % 8 == 0, m
+        residue = _residue_by_bits(m)
+        assert taps == tuple(31 - j for j in range(32) if residue >> j & 1), m
+    for m, n in zip(_WIDTHS, _WIDTHS[1:]):
+        assert 3 * m // 2 <= n <= 2 * m - 32, (m, n)  # every fold's result fits the next
+    assert 2 * _WIDTHS[-1] - 32 >= 8 * _PIECE + 32  # a whole piece and its register fit
+
+
+def test_the_first_fold_holds_the_register_at_every_piece_length():
+    # the register is xored into H, the piece's first h bytes, so h >= 4
+    for size in range(_MIN_FOLD, _PIECE + 1):
+        m = _WIDTHS[bisect_left(_WIDTHS, 4 * size + 32)]
+        assert size + 4 - m // 8 >= 4, size
+
+
+def test_the_fold_table_is_what_its_rule_gives():
+    assert tuple(fold_widths(_PIECE)) == _WIDTHS
+
+
+# Lengths at and next to the crossovers and the first pieces' edges.
+_edges = st.builds(lambda edge, d: max(0, edge + d),
+                   st.sampled_from([_MIN_PARITY, _MIN_FOLD, _PIECE, 2 * _PIECE, 3 * _PIECE]),
+                   st.integers(-3, 3))
+
+
+@settings(max_examples=40)
+@given(n=_edges, seed=_seeds, crc=_crcs)
+def test_crc32c_matches_the_table_loop_at_every_edge(n, seed, crc):
+    data = _data(n, seed)
+    expected = _crc32c_bytewise(data, crc)
+    assert crc32c(data, crc) == expected
+    assert crc32c(memoryview(b"\x00" + data)[1:], crc) == expected
+    whole = n - n % 8
+    assert crc32c(memoryview(data[:whole]).cast("d"), crc) == _crc32c_bytewise(data[:whole], crc)
 
 
 # --- the split check: the halves joined by Z_n ------------------------------------
@@ -240,7 +290,7 @@ def _join(crc: int, second: int, n: int) -> int:
 @given(a=st.binary(max_size=8 * KIB), b=st.binary(max_size=8 * KIB), c=_crcs)
 @example(a=b"", b=b"", c=0)
 @example(a=b"123", b=b"456789", c=0)
-@example(a=_data(_SPAN + 5, 1), b=_data(_MIN_LANES * _LANE + 7, 2), c=0xFFFFFFFF)
+@example(a=_data(_MIN_FOLD + 5, 1), b=_data(_PIECE + 7, 2), c=0xFFFFFFFF)
 def test_a_check_is_the_join_of_its_halves(a, b, c):
     assert crc32c(a + b, c) == _join(crc32c(a, c), _register(b, 0, len(b), 0), len(b))
 
@@ -264,8 +314,9 @@ def test_appending_many_zeros_matches_the_table_loop(n):
     assert _append_zeros(reg, n) == _crc32c_bytewise(bytes(n), reg ^ 0xFFFFFFFF) ^ 0xFFFFFFFF
 
 
-_SPLIT_LENGTHS = [SPLIT_BYTES - 1, SPLIT_BYTES, SPLIT_BYTES + 1, SPLIT_BYTES + 191,
-                  3 * MIB // 2 + 77]
+# around a threshold of 1 MiB, so that the inputs stay small whatever
+# SPLIT_BYTES is
+_SPLIT_LENGTHS = [MIB - 1, MIB, MIB + 1, MIB + 191, 3 * MIB // 2 + 77]
 
 
 @pytest.fixture(scope="module")
@@ -283,9 +334,10 @@ def test_a_split_check_equals_the_unsplit_one(monkeypatch, split_input, form, n)
         data = bytearray(data)
     elif form == "doubles":
         data = memoryview(data).cast("d")
+    monkeypatch.setattr(crc_module, "SPLIT_BYTES", MIB)
     pids = forks(monkeypatch)
     split = crc32c(data, _INITIAL_CRC)
-    assert len(pids) == (n >= SPLIT_BYTES)
+    assert len(pids) == (n >= MIB)
     monkeypatch.delattr(os, "fork")
     assert split == crc32c(data, _INITIAL_CRC)
 
@@ -302,7 +354,7 @@ def test_a_refused_check_forks_no_worker(monkeypatch):
 def test_a_forged_toc_offset_fails_its_split_check_and_leaves_no_child(tmp_path, monkeypatch):
     # the TOC "found" at the end of the header runs over the whole payload
     path = tmp_path / "forged.pdc"
-    write_container(path, [("events", _data(2 * MIB, 43))])
+    write_container(path, [("events", _data(SPLIT_BYTES + MIB, 43))])
     data = bytearray(path.read_bytes())
     struct.pack_into("<Q", data, 12, 20)
     path.write_bytes(data)
