@@ -3,11 +3,11 @@
 Reflected polynomial 0x82F63B78, init and final xor 0xFFFFFFFF.
 crc32c(b"123456789") == 0xE3069283.
 
-`crc32c` sends every input, and each half of a split check in place,
-through one dispatch, `_register`: it folds pieces of up to 64 KiB while
-`_MIN_FOLD` bytes or more remain, then runs a rest of 48 bytes or more as
-one parity span and a shorter rest through the byte loop, so an input
-under 48 bytes takes the byte loop alone. The three paths give the same
+`crc32c` sends every input through one dispatch, `_register`, in the
+caller's process: it folds pieces of up to 64 KiB while `_MIN_FOLD`
+bytes or more remain, then runs a rest of 48 bytes or more as one parity
+span and a shorter rest through the byte loop, so an input under 48
+bytes takes the byte loop alone. The three paths give the same
 value, and all rest on one fact: the register update is linear over
 GF(2). Write T_d[v] for the register that byte v followed by d zero bytes
 leaves behind, starting from a zero register, and Z_d for the map that
@@ -56,38 +56,23 @@ whole piece. The bound makes each fold's result fit the next fold, and
 few terms make each fold cheap: 17 at the bottom, 5 at the top, where an
 arbitrary m has about 16.
 
-Because of the same fact, a run splits: D = A + B ends in
-Z_|B|(register after A) ^ R(B). `crc32c` checks an input of `SPLIT_BYTES`
-or more in two halves when the fork rule of `workers` allows a worker: it
-cuts the input at a piece boundary near the middle, a worker computes R
-of the second half from the bytes it shares copy-on-write and writes back
-its 4 bytes, the caller runs the first half meanwhile, and the two are
-joined with Z_n. Z_n is multiplication by x^(8n) mod P: square-and-
-multiply over the bits of n, with the powers x^(8·2^k) mod P
-precomputed (zlib's `crc32_combine`). Both halves are walked by offset,
-so neither is copied whole. `SPLIT_BYTES` comes from the break-even
-measured in CHANGES.md.
-
 Every table is built at import from `_T0`: the masks from the single-bit
 bytes 1 << b stepped through `_MIN_FOLD` - 1 zero bytes, one at a time
 (T_{d+1}[v] = Z_1(T_d[v]) = _T0[T_d[v] & 0xFF] ^ (T_d[v] >> 8)), and the
-taps of each width m as x^m mod P = Z_(m/8)(x^0).
+taps of each width m as x^m mod P = Z_(m/8)(x^0). Z_n is multiplication
+by x^(8n) mod P, `_append_zeros`: square-and-multiply over the bits of n,
+with the powers x^(8·2^k) mod P precomputed (zlib's `crc32_combine`).
 """
 
 import struct
 from bisect import bisect_left
-from functools import partial
 from itertools import repeat
 from operator import and_
-
-from . import workers
-from .errors import AlgorithmFailure
 
 _POLY = 0x82F63B78
 _MIN_PARITY = 48  # below this the byte loop is the faster one
 _MIN_FOLD = 512  # about the measured crossover: the parity path is as fast below it
 _PIECE = 1 << 16
-SPLIT_BYTES = 3 << 20  # about the break-even of a split check
 
 
 def _build_table() -> list[int]:
@@ -216,51 +201,25 @@ def _fold_piece(piece, reg: int) -> int:
     return low ^ (x >> 32)
 
 
-def _register(data, pos: int, end: int, reg: int) -> int:
-    """Run the raw register `reg` over data[pos:end]; `data` is a bytes,
-    bytearray or memoryview of bytes, and no more of it than a piece is
-    copied at a time."""
+def _register(data, reg: int) -> int:
+    """Run the raw register `reg` over `data`, a bytes, bytearray or
+    memoryview of bytes, of which no more than a piece is copied at a
+    time."""
     view = memoryview(data)
-    while end - pos >= _MIN_FOLD:
-        stop = min(pos + _PIECE, end)
-        reg = _fold_piece(view[pos:stop], reg)
-        pos = stop
-    if end - pos >= _MIN_PARITY:
-        return _parity_span(view[pos:end], reg)
-    if pos < end:
-        return _crc32c_bytewise(view[pos:end], reg ^ 0xFFFFFFFF) ^ 0xFFFFFFFF
-    return reg
-
-
-def _write_register(data, pos: int, end: int, feed, results) -> None:
-    """A worker's half of a split check: R(data[pos:end]), as 4 bytes."""
-    results.write(_register(data, pos, end, 0).to_bytes(4, "little"))
+    while len(view) >= _MIN_FOLD:
+        reg = _fold_piece(view[:_PIECE], reg)
+        view = view[_PIECE:]
+    if len(view) >= _MIN_PARITY:
+        return _parity_span(view, reg)
+    return _crc32c_bytewise(view, reg ^ 0xFFFFFFFF) ^ 0xFFFFFFFF
 
 
 def crc32c(data: bytes, crc: int = 0) -> int:
     """The CRC-32C of `data`, continued from `crc`, the CRC-32C of the bytes
     before it: crc32c(b + c) == crc32c(c, crc32c(b)). A memoryview counts
-    by its bytes, whatever its item format; a non-contiguous one is refused.
-    An input of `SPLIT_BYTES` bytes or more is checked in two halves, the second
-    by a worker, when `workers` allows one."""
+    by its bytes, whatever its item format; a non-contiguous one is refused."""
     if not 0 <= crc <= 0xFFFFFFFF:
         raise ValueError(f"crc {crc!r} is outside 0..0xFFFFFFFF")
     if isinstance(data, memoryview):
         data = data.cast("B")
-    n = len(data)
-    reg = crc ^ 0xFFFFFFFF
-    if n >= SPLIT_BYTES:
-        half = n // (2 * _PIECE) * _PIECE
-        worker = workers.start("checksum", partial(_write_register, data, half, n))
-        if worker is not None:
-            try:
-                reg = _register(data, 0, half, reg)
-                second = worker.results.read(4)
-                if len(second) < 4:
-                    raise AlgorithmFailure("the checksum worker stopped early")
-            except BaseException:
-                worker.kill()
-                raise
-            worker.wait()
-            return _append_zeros(reg, n - half) ^ int.from_bytes(second, "little") ^ 0xFFFFFFFF
-    return _register(data, 0, n, reg) ^ 0xFFFFFFFF
+    return _register(data, crc ^ 0xFFFFFFFF) ^ 0xFFFFFFFF

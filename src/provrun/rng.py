@@ -134,7 +134,7 @@ def lane_chunks(seed: int, start: int, count: int):
     worker.wait()
 
 
-def _write_lanes(seed: int, start: int, count: int, feed, results) -> None:
+def _write_lanes(seed: int, start: int, count: int, results) -> None:
     """The worker's side of `lane_chunks`: `_lanes`, written to `results`."""
     for slots in _lanes(seed, start, count):
         results.write(slots)

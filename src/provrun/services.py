@@ -204,10 +204,9 @@ class ContainerWriterSvc(Service):
     def keep(self, rows: Iterator[tuple[float, ...]], path, fields: list[str]) -> None:
         """Pack the rows `rows` yields, one float per name of `fields` each,
         a chunk at a time, and stream each full unit into the container at
-        `path` (none when it is empty); once a worker chains the block's
-        crc32c, stream each chunk, so that the worker is never more than a
-        chunk behind. Rows are taken one by one, so a row taken before
-        `rows` raises is kept, and none is taken ahead of need."""
+        `path` (none when it is empty). Rows are taken one by one, so a row
+        taken before `rows` raises is kept, and none is taken ahead of
+        need."""
         row = row_format(len(fields))
         # 1024 rows of up to four fields, and one row of over 32 KiB
         chunk_rows = max(1, _KEEP_BYTES // max(row.size, 32))
@@ -217,16 +216,15 @@ class ContainerWriterSvc(Service):
                 chunk.extend(islice(rows, chunk_rows))
             finally:
                 self.kept.extend(row, chunk)
-            if len(self.kept.body) >= _UNIT or self._output and self._output.feeds_worker:
+            if len(self.kept.body) >= _UNIT:
                 self._stream(path, fields)
             if len(chunk) < chunk_rows:
                 return
             chunk.clear()
 
-    def _stream(self, path, fields: list[str], whole: bool = True) -> None:
+    def _stream(self, path, fields: list[str]) -> None:
         """Hand the rows packed so far to the output, opened at the first
-        unit, as a whole unit or else as the block's last piece; a failure
-        is kept, for finalize to raise."""
+        unit; a failure is kept, for finalize to raise."""
         unit = self.kept.take()
         if path and self._failure is None:
             try:
@@ -234,7 +232,7 @@ class ContainerWriterSvc(Service):
                     header = field_table(fields)
                     self._output = ContainerWriter(path)
                     self._output.add(header)
-                (self._output.add_unit if whole else self._output.add)(unit)
+                self._output.add(unit)
             except (WriteFailure, ValueError) as exc:
                 self._failure = exc
 
@@ -251,7 +249,7 @@ class ContainerWriterSvc(Service):
                 self.kept.check(len(fields))
             except ValueError as exc:
                 raise AlgorithmFailure(f"cannot write the kept events: {exc}") from exc
-            self._stream(path, fields, whole=False)
+            self._stream(path, fields)
             if self._failure is not None:
                 raise self._failure
             self._output.end_block("events")

@@ -1,10 +1,8 @@
 """CRC-32C: every path (byte-serial, parity span, fold) checked against a
 table-free bit loop at its thresholds and against the RFC 3720 vectors, the
 fold cross-checked against the table loop over random lengths, the fold's
-table against its rule, and the split check's halves and join against the
-unsplit check."""
+table against its rule, and a check against the join of its halves."""
 
-import os
 import random
 import struct
 import sys
@@ -15,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from provrun import ContainerReader, crc as crc_module, write_container
 from provrun.crc import (
-    SPLIT_BYTES,
     _MIN_FOLD,
     _MIN_PARITY,
     _PIECE,
@@ -26,10 +23,9 @@ from provrun.crc import (
     _register,
     crc32c,
 )
-from provrun.errors import AlgorithmFailure, ChecksumMismatch
+from provrun.errors import ChecksumMismatch
 
 from helpers import fold_widths, forks
-from test_rng import _no_child
 
 KIB, MIB = 1024, 1024 * 1024
 _SETTINGS = settings(max_examples=8)
@@ -278,7 +274,7 @@ def test_crc32c_matches_the_table_loop_at_every_edge(n, seed, crc):
     assert crc32c(memoryview(data[:whole]).cast("d"), crc) == _crc32c_bytewise(data[:whole], crc)
 
 
-# --- the split check: the halves joined by Z_n ------------------------------------
+# --- a check as the join of its halves by Z_n --------------------------------------
 
 def _join(crc: int, second: int, n: int) -> int:
     """The CRC-32C of a + b, from crc = crc32c(a, c) and b's raw register,
@@ -292,7 +288,7 @@ def _join(crc: int, second: int, n: int) -> int:
 @example(a=b"123", b=b"456789", c=0)
 @example(a=_data(_MIN_FOLD + 5, 1), b=_data(_PIECE + 7, 2), c=0xFFFFFFFF)
 def test_a_check_is_the_join_of_its_halves(a, b, c):
-    assert crc32c(a + b, c) == _join(crc32c(a, c), _register(b, 0, len(b), 0), len(b))
+    assert crc32c(a + b, c) == _join(crc32c(a, c), _register(b, 0), len(b))
 
 
 def _zero_byte(reg: int) -> int:
@@ -314,64 +310,23 @@ def test_appending_many_zeros_matches_the_table_loop(n):
     assert _append_zeros(reg, n) == _crc32c_bytewise(bytes(n), reg ^ 0xFFFFFFFF) ^ 0xFFFFFFFF
 
 
-# around a threshold of 1 MiB, so that the inputs stay small whatever
-# SPLIT_BYTES is
-_SPLIT_LENGTHS = [MIB - 1, MIB, MIB + 1, MIB + 191, 3 * MIB // 2 + 77]
-
-
-@pytest.fixture(scope="module")
-def split_input():
-    return _data(_SPLIT_LENGTHS[-1], 41)
-
-
-@pytest.mark.parametrize("n", _SPLIT_LENGTHS)
-@pytest.mark.parametrize("form", ["bytes", "bytearray", "doubles"])
-def test_a_split_check_equals_the_unsplit_one(monkeypatch, split_input, form, n):
-    if form == "doubles":
-        n -= n % 8
-    data = split_input[:n]
-    if form == "bytearray":
-        data = bytearray(data)
-    elif form == "doubles":
-        data = memoryview(data).cast("d")
-    monkeypatch.setattr(crc_module, "SPLIT_BYTES", MIB)
-    pids = forks(monkeypatch)
-    split = crc32c(data, _INITIAL_CRC)
-    assert len(pids) == (n >= MIB)
-    monkeypatch.delattr(os, "fork")
-    assert split == crc32c(data, _INITIAL_CRC)
-
-
 def test_a_refused_check_forks_no_worker(monkeypatch):
     pids = forks(monkeypatch)
     with pytest.raises(ValueError, match="outside 0..0xFFFFFFFF"):
-        crc32c(bytes(SPLIT_BYTES), 1 << 32)
+        crc32c(bytes(4 * MIB), 1 << 32)
     with pytest.raises(TypeError, match="C-contiguous"):
-        crc32c(memoryview(bytes(2 * SPLIT_BYTES))[::2])
+        crc32c(memoryview(bytes(8 * MIB))[::2])
     assert pids == []
 
 
-def test_a_forged_toc_offset_fails_its_split_check_and_leaves_no_child(tmp_path, monkeypatch):
+def test_a_forged_toc_offset_fails_its_check_and_forks_nothing(tmp_path, monkeypatch):
     # the TOC "found" at the end of the header runs over the whole payload
     path = tmp_path / "forged.pdc"
-    write_container(path, [("events", _data(SPLIT_BYTES + MIB, 43))])
+    write_container(path, [("events", _data(4 * MIB, 43))])
     data = bytearray(path.read_bytes())
     struct.pack_into("<Q", data, 12, 20)
     path.write_bytes(data)
     pids = forks(monkeypatch)
     with pytest.raises(ChecksumMismatch, match="table of contents"):
         ContainerReader(path)
-    assert len(pids) == 1
-    _no_child()
-
-
-def test_a_split_check_whose_worker_fails_raises(monkeypatch):
-    def broken(data, pos, end, feed, results):
-        raise RuntimeError("the worker broke")
-
-    monkeypatch.setattr(crc_module, "_write_register", broken)
-    pids = forks(monkeypatch)
-    with pytest.raises(AlgorithmFailure, match="the checksum worker stopped early"):
-        crc32c(bytes(SPLIT_BYTES))
-    assert len(pids) == 1
-    _no_child()
+    assert pids == []

@@ -1,7 +1,8 @@
-"""The fork rule of `workers`, checked where each caller forks, and the life
-cycle of the writer's checksum worker: however a job ends, it leaves no
-child and no temporary file behind, and its bytes are the same whether it
-forked or not."""
+"""The fork rule of `workers`, checked where its one caller, the draws of
+`rng.lane_chunks`, forks; and a job's output writer, which checksums in
+the job's own process: however a job ends, it leaves no child and no
+temporary file behind, and its bytes are the same whether it forked or
+not."""
 
 import errno
 import os
@@ -14,14 +15,16 @@ import pytest
 import provrun
 import provrun.container
 from provrun import PhaseStatus, build_job, read_block, run_job, standard_catalogue, workers
-from provrun.crc import SPLIT_BYTES, crc32c
+from provrun.cli import EXIT_OK, main
 from provrun.errors import WriteFailure
+from provrun.rng import FORK_DRAWS, lane_chunks
 from provrun.services import _UNIT
 
 from helpers import FailingFile, demo_config, forks
-from test_rng import StopsAt, _no_child
+from test_rng import StopsAt
 
 _ROW = 32  # bytes of a four-field row
+MIB = 1024 * 1024
 
 
 def _source(path, events):
@@ -41,7 +44,7 @@ def big_source(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def source(tmp_path_factory):
-    """A container whose `events` block is a few units, and under the split."""
+    """A container whose `events` block is a few units."""
     return _source(tmp_path_factory.mktemp("small") / "source.pdc", 20_000)
 
 
@@ -69,7 +72,7 @@ def test_one_usable_cpu_forks_nothing_and_writes_the_same_bytes(
     out = tmp_path / "out.pdc"
     pids = forks(monkeypatch)
     assert run_job(_config(kind, out, big_source)).report.succeeded
-    assert len(pids) == {"generate": 1, "file_source": 2}[kind]
+    assert len(pids) == {"generate": 1, "file_source": 0}[kind]
     forked = out.read_bytes()
     pids = forks(monkeypatch, cpus=1)
     assert run_job(_config(kind, out, big_source)).report.succeeded
@@ -105,24 +108,11 @@ def test_a_job_forks_nothing_while_a_sigchld_handler_may_reap(
     assert out.read_bytes() == handled
 
 
-def test_while_a_draw_worker_is_alive_the_writer_chains_in_process(tmp_path, monkeypatch):
-    # the draws of 50,000 two-field events outlast the first 256 KiB unit
-    out = tmp_path / "out.pdc"
-    pids = forks(monkeypatch)
-    assert run_job(_generate(out)).report.succeeded
-    assert len(pids) == 1
-    in_process = out.read_bytes()
-    pids = forks(monkeypatch, cpus=3)
-    assert run_job(_generate(out)).report.succeeded
-    assert len(pids) == 2
-    assert out.read_bytes() == in_process
-
-
 def test_a_worker_forks_no_worker(monkeypatch):
     pids = forks(monkeypatch, cpus=8)
 
-    def work(feed, results):
-        nested = workers.start("nested", lambda feed, results: None)
+    def work(results):
+        nested = workers.start("nested", lambda results: None)
         results.write(bytes([len(pids), nested is None]))
 
     worker = workers.start("outer", work)
@@ -132,13 +122,16 @@ def test_a_worker_forks_no_worker(monkeypatch):
 
 
 def test_only_the_workers_module_forks():
-    # and makes pipes, so that every pipe is made where its failure is handled
+    # and makes pipes, so that every pipe is made where its failure is handled;
+    # and only the draws of `rng` start a worker
     forking = re.compile(r"\bos\.(fork|pipe)|\bfork(pty)?\s*\(|\bmultiprocessing\b"
                          r"|\bsubprocess\b")
+    starting = re.compile(r"^from \. import .*\bworkers\b|^from \.workers import|\bworkers\.start\b",
+                          re.MULTILINE)
     package = Path(provrun.__file__).parent
-    found = sorted(path.name for path in package.glob("*.py")
-                   if forking.search(path.read_text(encoding="utf-8")))
-    assert found == ["workers.py"]
+    texts = {path.name: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    assert sorted(name for name, text in texts.items() if forking.search(text)) == ["workers.py"]
+    assert sorted(name for name, text in texts.items() if starting.search(text)) == ["rng.py"]
 
 
 # --- a failed pipe counts as a failed fork ----------------------------------------
@@ -151,30 +144,28 @@ def _descriptors():
         return None
 
 
-def _pipes_fail(monkeypatch, after: int) -> list:
-    """Let `after` calls of os.pipe succeed and fail every later one, as a
-    process out of descriptors does; the calls made."""
+def _pipes_fail(monkeypatch) -> list:
+    """Fail every call of os.pipe, as a process out of descriptors does; the
+    calls made."""
     calls = []
 
-    def pipe(real=os.pipe):
+    def pipe():
         calls.append(len(calls))
-        if len(calls) > after:
-            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
-        return real()
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
 
     monkeypatch.setattr(os, "pipe", pipe)
     return calls
 
 
-@pytest.mark.parametrize("after", [0, 1], ids=["first_pipe", "second_pipe"])
-def test_a_failed_pipe_checks_in_process_and_closes_what_it_opened(monkeypatch, after):
-    data = bytes(range(256)) * (SPLIT_BYTES // 256) + bytes(10)
-    expected = crc32c(data)
+def test_a_failed_pipe_draws_in_process_and_closes_what_it_opened(monkeypatch):
     pids = forks(monkeypatch)
-    calls = _pipes_fail(monkeypatch, after)
+    forked = b"".join(lane_chunks(5, 0, FORK_DRAWS))
+    assert len(pids) == 1
+    pids.clear()
+    calls = _pipes_fail(monkeypatch)
     before = _descriptors()
-    assert crc32c(data) == expected
-    assert len(calls) == after + 1
+    assert b"".join(lane_chunks(5, 0, FORK_DRAWS)) == forked
+    assert len(calls) == 1
     assert pids == []
     assert _descriptors() == before
 
@@ -186,15 +177,16 @@ def test_a_job_whose_pipes_fail_writes_the_same_bytes_in_process(
     assert run_job(_config(kind, out, big_source)).report.succeeded
     forked = out.read_bytes()
     pids = forks(monkeypatch)
-    calls = _pipes_fail(monkeypatch, 1)
+    calls = _pipes_fail(monkeypatch)
     before = _descriptors()
     assert run_job(_config(kind, out, big_source)).report.succeeded
-    assert calls and pids == []
+    assert len(calls) == {"generate": 1, "file_source": 0}[kind]
+    assert pids == []
     assert _descriptors() == before
     assert out.read_bytes() == forked
 
 
-# --- the writer's checksum worker, fed the units of the `events` block ---------------
+# --- the writer, which checksums the `events` block in the job's process ------------
 
 def _first_rows(source, rows: int) -> bytes:
     """The `events` block of the first `rows` events of `source`."""
@@ -203,7 +195,7 @@ def _first_rows(source, rows: int) -> bytes:
 
 
 def _stopped(out, source, how):
-    # past the first unit, so the checksum worker has been forked
+    # past the first unit, so the temporary file is open
     return _derive(out, source, ("StopsAt",), StopsAt__At=15_000, StopsAt__How=how)
 
 
@@ -213,21 +205,30 @@ def _built(config):
     return job
 
 
-def test_a_file_source_job_forks_to_check_its_input_and_its_output(
+def test_a_file_source_job_forks_nothing_and_streams_whole_units(
         tmp_path, monkeypatch, big_source):
     out = tmp_path / "out.pdc"
     pids = forks(monkeypatch)
     job = _built(_derive(out, big_source))
-    assert len(pids) == 1  # the split check of the input, reaped
-    _no_child()
     assert job.execute() is PhaseStatus.OK
-    assert len(pids) == 2  # the output's checksum worker, alive until finalize
-    # past the first unit, every chunk was streamed as it was packed
+    # the rows of the last, partial unit are held until finalize
     [temporary] = tmp_path.glob("*.tmp")
-    assert temporary.stat().st_size == 20 + len(read_block(big_source, "events"))
+    streamed = temporary.stat().st_size - 20 - len(read_block(big_source, "events")) % _ROW
+    assert streamed > 0 and streamed % _UNIT == 0
     assert job.finalize() is PhaseStatus.OK
-    _no_child()
+    assert pids == []
     assert read_block(out, "events") == read_block(big_source, "events")
+
+
+def test_a_replay_of_an_input_over_3_mib_forks_nothing_and_verifies(
+        tmp_path, monkeypatch, big_source):
+    assert len(read_block(big_source, "events")) > 3 * MIB
+    derived, replayed = tmp_path / "derived.pdc", tmp_path / "replayed.pdc"
+    pids = forks(monkeypatch)
+    assert run_job(_derive(derived, big_source)).report.succeeded
+    assert main(["replay", str(derived), str(replayed)]) == EXIT_OK
+    assert pids == []
+    assert read_block(replayed, "events") == read_block(derived, "events")
 
 
 def test_a_later_stage_failing_mid_stream_keeps_the_rows_before_it(
@@ -237,8 +238,7 @@ def test_a_later_stage_failing_mid_stream_keeps_the_rows_before_it(
     job = run_job(_stopped(out, source, "fail"), (*standard_catalogue(), StopsAt))
     assert job.report.phases["execute"] is PhaseStatus.FAILED
     assert job.report.phases["finalize"] is PhaseStatus.OK
-    assert len(pids) == 1
-    _no_child()
+    assert pids == []
     assert read_block(out, "events") == _first_rows(source, 15_000)
     assert [p.name for p in tmp_path.iterdir()] == ["out.pdc"]
 
@@ -249,9 +249,8 @@ def test_an_interrupt_mid_stream_leaves_the_job_to_finish(tmp_path, monkeypatch,
     job = _built(_stopped(out, source, "interrupt"))
     with pytest.raises(KeyboardInterrupt):
         job.execute()
-    assert len(pids) == 1
     assert job.finalize() is PhaseStatus.OK
-    _no_child()
+    assert pids == []
     assert read_block(out, "events") == _first_rows(source, 15_000)
     assert [p.name for p in tmp_path.iterdir()] == ["out.pdc"]
 
@@ -263,8 +262,7 @@ def test_a_failed_write_during_execute_ends_the_worker(tmp_path, monkeypatch, so
     monkeypatch.setattr(provrun.container, "open", lambda file, mode: FailingFile(
         open(file, mode), _UNIT + 100), raising=False)
     assert job.execute() is PhaseStatus.OK
-    assert len(pids) == 1
-    _no_child()
+    assert pids == []
     assert list(tmp_path.iterdir()) == []
     assert job.finalize() is PhaseStatus.FAILED
     assert isinstance(job.failure, WriteFailure)
@@ -275,20 +273,7 @@ def test_a_job_dropped_unfinished_ends_the_worker(tmp_path, monkeypatch, source)
     pids = forks(monkeypatch)
     job = _built(_derive(tmp_path / "out.pdc", source))
     assert job.execute() is PhaseStatus.OK
-    assert len(pids) == 1
     assert len(list(tmp_path.glob("*.tmp"))) == 1
     del job
-    _no_child()
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_a_worker_killed_before_the_block_ends_fails_finalize(tmp_path, monkeypatch, source):
-    pids = forks(monkeypatch)
-    job = _built(_derive(tmp_path / "out.pdc", source))
-    assert job.execute() is PhaseStatus.OK
-    [pid] = pids
-    os.kill(pid, signal.SIGKILL)
-    assert job.finalize() is PhaseStatus.FAILED
-    assert isinstance(job.failure, WriteFailure)
-    _no_child()
+    assert pids == []
     assert list(tmp_path.iterdir()) == []
