@@ -164,45 +164,40 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a job from an options file")
     p_run.add_argument("config", help="options file")
+    p_run.set_defaults(handler=lambda args: cmd_run(args.config))
 
     p_view = sub.add_parser("view", help="print the provenance embedded in a container")
     p_view.add_argument("container")
     p_view.add_argument("--format", choices=("table", "tsv"), default="table")
+    p_view.set_defaults(handler=lambda args: cmd_view(args.container, args.format))
 
     p_export = sub.add_parser("export",
                               help="write the embedded provenance as a flat, "
                                    "runnable options file")
     p_export.add_argument("container")
     p_export.add_argument("out")
+    p_export.set_defaults(handler=lambda args: cmd_export(args.container, args.out))
 
     p_replay = sub.add_parser("replay",
                               help="re-run a job from a container's own metadata "
                                    "and verify the result matches")
     p_replay.add_argument("container")
     p_replay.add_argument("out", help="output path for the replayed container")
+    p_replay.set_defaults(handler=lambda args: cmd_replay(args.container, args.out))
 
     p_diff = sub.add_parser("diff", help="compare the provenance of two containers")
     p_diff.add_argument("a")
     p_diff.add_argument("b")
+    p_diff.set_defaults(handler=lambda args: cmd_diff(args.a, args.b))
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(args.config)
-        if args.command == "view":
-            return cmd_view(args.container, args.format)
-        if args.command == "export":
-            return cmd_export(args.container, args.out)
-        if args.command == "replay":
-            return cmd_replay(args.container, args.out)
-        if args.command == "diff":
-            return cmd_diff(args.a, args.b)
+        return args.handler(args)
     except ProvrunError as exc:
         return _fail(str(exc), _code_for(exc))
-    return EXIT_ERROR  # pragma: no cover - argparse enforces the commands
 
 
 if __name__ == "__main__":

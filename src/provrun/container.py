@@ -136,18 +136,25 @@ def _remove_temporary(close, temporary: str) -> None:
 class AtomicFile:
     """Bytes written to `path` through a temporary file beside it,
     `<path>.<pid>.<n>.tmp` with the name of `path` cut to fit the
-    directory's name limit, opened at the first write; `commit` renames it
-    onto `path`. A failed write or commit, `abandon`, a failure inside
-    `with`, and a file dropped uncommitted close and remove the temporary,
-    leaving any earlier file at `path` as it was. An OSError is raised as
+    directory's name limit, opened when made; `commit` renames it onto
+    `path`. A failed write or commit, `abandon`, a failure inside `with`,
+    and a file dropped uncommitted close and remove the temporary, leaving
+    any earlier file at `path` as it was. An OSError is raised as
     WriteFailure, anything else as it came."""
 
     def __init__(self, path):
         self.path = path
         self.size = 0  # bytes written
-        self._temporary: Optional[str] = None
-        self._file = None  # the open temporary
-        self._discard = None  # closes and removes the temporary while it is open
+        self._temporary = _temporary_name(path)
+        closing = contextlib.ExitStack()
+        try:
+            self._file = closing.enter_context(open(self._temporary, "wb"))
+        except OSError as exc:
+            raise WriteFailure(f"cannot write {path}: {exc}") from exc
+        self._close = closing.close
+        # closes and removes the temporary unless it is committed
+        self._discard = weakref.finalize(self, _remove_temporary, closing.close,
+                                         self._temporary)
 
     def __enter__(self):
         return self
@@ -160,34 +167,16 @@ class AtomicFile:
 
     def write(self, data) -> None:
         with self:
-            if self._file is None:
-                self._open()
             self.size += self._file.write(data)
 
     def commit(self) -> None:
         with self:
-            if self._file is None:
-                self._open()
             self._close()
             os.replace(self._temporary, self.path)
             self._discard.detach()
-            self._file = None
 
     def abandon(self) -> None:
-        self._file = None
-        if self._discard is not None:
-            self._discard()
-
-    def _open(self) -> None:
-        # a temporary is opened once: once closed, nothing more is written
-        if self._temporary is not None:
-            raise WriteFailure(f"cannot write {self.path}: its temporary file is closed")
-        self._temporary = _temporary_name(self.path)
-        closing = contextlib.ExitStack()
-        self._file = closing.enter_context(open(self._temporary, "wb"))
-        self._close = closing.close
-        self._discard = weakref.finalize(self, _remove_temporary, closing.close,
-                                         self._temporary)
+        self._discard()
 
 
 def write_atomically(path, chunks: Iterable[bytes]) -> None:

@@ -9,24 +9,22 @@ a single space around ``=``, floats rendered as the shortest decimal
 string that parses back to the same bits. Parsing the canonical emission
 of any set reproduces the set; re-emitting is a byte fixpoint.
 
-Tokens, one compiled pattern each (``[0-9]`` is ASCII only):
+The fast path: one match of the plain-line pattern takes an assignment as
+canonical emission writes it, its value an escape-free string, an integer of
+at most 19 digits, a float, a boolean or a ``", "``-joined list of
+escape-free strings. Every other line, and one whose number is out of
+range, goes to the token scanner, which reads it once, left to right, and
+raises where it stops. Its tokens (``[0-9]`` is ASCII only):
 
-- plain line, tried first: one match takes an assignment as canonical
-  emission writes it, its value an escape-free string, an integer of at most
-  19 digits, a float, a boolean or a ``", "``-joined list of escape-free
-  strings. Every other line, and one whose number is out of range, is scanned
-- line head: one match takes a blank line, a ``#`` comment, or an
-  assignment's blank, key, blank, ``=`` and blank up to its value. A key
-  is two or more ``[A-Za-z_][A-Za-z0-9_]*`` segments joined by ``.``. A
-  line whose head does not match is scanned again, token by token, for
-  the error and its column: blank ``[ \t]*``, then key ``\w*(?:\.\w*)*``
-  with its segments checked one by one
-- blank: ``[ \t]*``, after a value and after a list's ``,``
+- blank: ``[ \t]*``, around ``=``, after a value and after a list's ``,``;
+  a line that is blank up to ``#`` or its end is a comment or a blank line
+- key: ``\w*(?:\.\w*)*``, two or more ``[A-Za-z_][A-Za-z0-9_]*`` segments
+  checked one by one, then ``=``
 - word: ``\w*`` that starts with a letter; only ``true`` and ``false`` are values
 - number: ``-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?`` without leading zeros
-- string: ``"`` then any character but ``"``, ``\``, a control (tab aside) or
-  a surrogate, or ``\" \\ \n \t \r \uXXXX`` (a surrogate only as a
-  high-low pair), then ``"``
+- string: ``"``, then runs of any character but ``"``, ``\``, a control (tab
+  aside) or a surrogate, and escapes ``\" \\ \n \t \r \uXXXX`` (a surrogate
+  only as a high-low pair), then ``"``
 
 A list is ``[]`` or ``[v, ...]`` of scalars of one kind. Every syntax error
 is an ``OptionsSyntaxError`` with the 1-based line and column where the
@@ -283,8 +281,6 @@ class OptionsSet:
 _BLANK_RE = re.compile(r"[ \t]*")
 # An assignment's head up to its value; the group is the dotted key.
 _ASSIGN = rf"[ \t]*({_IDENT}\.{_IDENT}(?:\.{_IDENT})*)[ \t]*=[ \t]*"
-# A blank line, a comment, or an assignment's head.
-_HEAD_RE = re.compile(rf"{_ASSIGN}|[ \t]*(?:#|\Z)")
 _KEY_RE = re.compile(r"\w*(?:\.\w*)*")
 _WORD_RE = re.compile(r"\w*")
 # Empty digit groups match so that the scanner can name the missing digits.
@@ -292,14 +288,9 @@ _NUMBER_RE = re.compile(r"-?([0-9]*)(?:\.([0-9]*))?(?:[eE][+-]?([0-9]*))?")
 _HEX4_RE = re.compile(r"[0-9a-fA-F]{4}")
 # A string body character that needs no escape.
 _TEXT_CHAR = r'[^"\\\x00-\x08\x0a-\x1f\ud800-\udfff]'
-# The longest valid body, then the closing quote if there is one.
-_STRING_RE = re.compile(
-    rf'"((?:{_TEXT_CHAR}+|\\["\\ntr]'
-    r"|\\u(?:[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}"
-    r"|(?![dD][89a-fA-F])[0-9a-fA-F]{4}))*)(\")?")
-_ESCAPE_RE = re.compile(r"\\(?:u([dD][89abAB]..)\\u(....)|u(....)|(.))", re.DOTALL)
+_TEXT_RUN_RE = re.compile(_TEXT_CHAR + "*")
 _TEXT_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}
-_TEXT_ESCAPE_RE = re.compile(r'["\\\x00-\x1f]')
+_ESCAPED_RE = re.compile(r'["\\\x00-\x1f]')
 _SIMPLE_ESCAPES = {escape[1]: ch for ch, escape in _TEXT_ESCAPES.items()}
 _BOOLEANS = {"true": OptionValue.of(True), "false": OptionValue.of(False)}
 _CR_MESSAGE = "carriage return: documents use LF line endings"
@@ -315,23 +306,6 @@ _INTEGER, _FLOAT, _BOOLEAN, _LIST = range(3, 7)  # value groups, by number
 
 class _ScanError(Exception):
     """Syntax error inside one line; args are (message, 0-based offset)."""
-
-
-def _head_error(line: str) -> _ScanError:
-    """The error in the head of a line that `_HEAD_RE` does not match."""
-    pos = _BLANK_RE.match(line).end()
-    if line[pos] == "\r":
-        return _ScanError(_CR_MESSAGE, pos)
-    end = _KEY_RE.match(line, pos).end()
-    segments = line[pos:end].split(".")
-    seg_start = pos
-    for segment in segments:
-        if not _IDENT_RE.match(segment):
-            return _ScanError("malformed key", seg_start)
-        seg_start += len(segment) + 1
-    if len(segments) < 2:
-        return _ScanError("malformed key: need Component.Property", pos)
-    return _ScanError("expected '=' after key", _BLANK_RE.match(line, end).end())
 
 
 def _scan_value(text: str, pos: int, in_list: bool = False) -> tuple[OptionValue, int]:
@@ -353,50 +327,59 @@ def _scan_value(text: str, pos: int, in_list: bool = False) -> tuple[OptionValue
     raise _ScanError("expected a value", pos)
 
 
-def _unescape(match: re.Match) -> str:
-    high, low, code, simple = match.groups()
-    if high:
-        return chr(0x10000 + ((int(high, 16) - 0xD800) << 10) + (int(low, 16) - 0xDC00))
-    return chr(int(code, 16)) if code else _SIMPLE_ESCAPES[simple]
+def _scan_string(text: str, start: int) -> tuple[OptionValue, int]:
+    """The string at `start`, read one run of plain characters or one escape
+    at a time up to its closing quote."""
+    parts = []
+    pos = start + 1
+    while True:
+        end = _TEXT_RUN_RE.match(text, pos).end()
+        parts.append(text[pos:end])
+        ch = text[end:end + 1]
+        if ch == '"':
+            return OptionValue._checked(Kind.TEXT, "".join(parts)), end + 1
+        if ch == "\\":
+            ch, pos = _scan_escape(text, end)
+            parts.append(ch)
+        elif not ch:
+            raise _ScanError("unterminated string", start)
+        elif ch in "\r\n":
+            raise _ScanError("raw line break in string; use \\n or \\r", end)
+        elif ch < " ":
+            raise _ScanError(f"raw control character U+{ord(ch):04X} in string; "
+                             "use a \\u escape", end)
+        else:
+            raise _ScanError(f"raw surrogate U+{ord(ch):04X} in string; "
+                             "use a \\u escape pair", end)
 
 
-def _scan_string(text: str, pos: int) -> tuple[OptionValue, int]:
-    match = _STRING_RE.match(text, pos)
-    body, closed = match.groups()
-    if closed is None:
-        raise _string_error(text, pos, match.end())
-    if "\\" in body:
-        body = _ESCAPE_RE.sub(_unescape, body)
-    return OptionValue._checked(Kind.TEXT, body), match.end()
-
-
-def _string_error(text: str, start: int, pos: int) -> _ScanError:
-    """The error for the character at `pos` that ends a string body early."""
-    if pos == len(text):
-        return _ScanError("unterminated string", start)
-    ch = text[pos]
-    if ch in "\r\n":
-        return _ScanError("raw line break in string; use \\n or \\r", pos)
-    if ch < " ":
-        return _ScanError(f"raw control character U+{ord(ch):04X} in string; "
-                          "use a \\u escape", pos)
-    if ch != "\\":
-        return _ScanError(f"raw surrogate U+{ord(ch):04X} in string; "
-                          "use a \\u escape pair", pos)
+def _scan_escape(text: str, pos: int) -> tuple[str, int]:
+    """The character of the escape at `pos` and the offset past it; a
+    surrogate only as a high-low pair of escapes."""
     esc = text[pos + 1:pos + 2]
+    if esc in _SIMPLE_ESCAPES:
+        return _SIMPLE_ESCAPES[esc], pos + 2
     if not esc:
-        return _ScanError("dangling escape", pos + 1)
+        raise _ScanError("dangling escape", pos + 1)
     if esc != "u":
-        return _ScanError(f"unknown escape \\{esc}", pos)
-    if not _HEX4_RE.match(text, pos + 2):
-        return _ScanError("\\u escape needs four hex digits", pos + 2)
-    # A valid \u escape ends the body only as a surrogate outside a pair. A
-    # high one followed by another \u escape is reported at that escape.
-    if int(text[pos + 2:pos + 6], 16) < 0xDC00 and text.startswith("\\u", pos + 6):
-        if not _HEX4_RE.match(text, pos + 8):
-            return _ScanError("\\u escape needs four hex digits", pos + 8)
+        raise _ScanError(f"unknown escape \\{esc}", pos)
+    code = _scan_hex4(text, pos + 2)
+    if not 0xD800 <= code <= 0xDFFF:
+        return chr(code), pos + 6
+    # a high surrogate followed by an escape that is not its low one is
+    # reported at that escape
+    if code < 0xDC00 and text.startswith("\\u", pos + 6):
+        low = _scan_hex4(text, pos + 8)
+        if 0xDC00 <= low <= 0xDFFF:
+            return chr(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)), pos + 12
         pos += 6
-    return _ScanError("lone surrogate in \\u escape", pos)
+    raise _ScanError("lone surrogate in \\u escape", pos)
+
+
+def _scan_hex4(text: str, pos: int) -> int:
+    if not _HEX4_RE.match(text, pos):
+        raise _ScanError("\\u escape needs four hex digits", pos)
+    return int(text[pos:pos + 4], 16)
 
 
 def _scan_list(text: str, pos: int) -> tuple[OptionValue, int]:
@@ -466,18 +449,30 @@ def _plain_assignment(line: str) -> Optional[tuple[OptionKey, OptionValue]]:
 def _scan_assignment(line: str) -> Optional[tuple[OptionKey, OptionValue]]:
     """The assignment on `line`, token by token; None for a blank or comment.
     Raises `_ScanError` at the first error."""
-    head = _HEAD_RE.match(line)
-    if head is None:
-        raise _head_error(line)
-    if head[1] is None:
+    start = _BLANK_RE.match(line).end()
+    if start == len(line) or line[start] == "#":
         return None
-    value, pos = _scan_value(line, head.end())
+    if line[start] == "\r":
+        raise _ScanError(_CR_MESSAGE, start)
+    end = _KEY_RE.match(line, start).end()
+    segments = line[start:end].split(".")
+    pos = start
+    for segment in segments:
+        if not _IDENT_RE.match(segment):
+            raise _ScanError("malformed key", pos)
+        pos += len(segment) + 1
+    if len(segments) < 2:
+        raise _ScanError("malformed key: need Component.Property", start)
+    pos = _BLANK_RE.match(line, end).end()
+    if not line.startswith("=", pos):
+        raise _ScanError("expected '=' after key", pos)
+    value, pos = _scan_value(line, _BLANK_RE.match(line, pos + 1).end())
     if pos < len(line):
         pos = _BLANK_RE.match(line, pos).end()
         if pos < len(line):
             raise _ScanError(_CR_MESSAGE if line[pos] == "\r"
                              else "unexpected text after value", pos)
-    return OptionKey._checked(head[1]), value
+    return OptionKey._checked(line[start:end]), value
 
 
 def parse_options(text: str) -> OptionsSet:
@@ -525,7 +520,7 @@ def value_to_text(value: OptionValue) -> str:
     if value.kind is Kind.BOOLEAN:
         return "true" if value.value else "false"
     if value.kind is Kind.TEXT:
-        return '"' + _TEXT_ESCAPE_RE.sub(_escape_char, value.value) + '"'
+        return '"' + _ESCAPED_RE.sub(_escape_char, value.value) + '"'
     return "[" + ", ".join(value_to_text(item) for item in value.value) + "]"
 
 

@@ -39,7 +39,6 @@ status, is an `AlgorithmFailure`.
 
 import sys
 from array import array
-from functools import partial
 from itertools import chain
 from operator import sub
 
@@ -115,7 +114,7 @@ def lane_chunks(seed: int, start: int, count: int):
     bytes, a chunk of up to `LANES` at a time: from a worker when the run
     is long enough to repay the fork and `workers` allows one, else made
     here."""
-    worker = (workers.start("draw", partial(_write_lanes, seed, start, count))
+    worker = (workers.start("draw", lambda out: out.writelines(_lanes(seed, start, count)))
               if count >= FORK_DRAWS else None)
     if worker is None:
         yield from _lanes(seed, start, count)
@@ -132,12 +131,6 @@ def lane_chunks(seed: int, start: int, count: int):
         worker.kill()
         raise
     worker.wait()
-
-
-def _write_lanes(seed: int, start: int, count: int, results) -> None:
-    """The worker's side of `lane_chunks`: `_lanes`, written to `results`."""
-    for slots in _lanes(seed, start, count):
-        results.write(slots)
 
 
 def _slot_doubles(slots: bytes):

@@ -213,6 +213,15 @@ def test_truncated_file(tmp_path):
         read_block(path, "events")
 
 
+def test_a_block_truncated_after_the_toc_was_read_is_corrupt(tmp_path):
+    path = tmp_path / "cut.pdc"
+    write_container(path, [("events", bytes(range(200)))])
+    with ContainerReader(path) as reader:
+        os.truncate(path, 20 + 100)  # the 20 B header, then half the events payload
+        with pytest.raises(CorruptContainer, match="is truncated"):
+            reader.read_block("events")
+
+
 def test_info_must_be_canonical(tmp_path):
     with pytest.raises(ReservedNameMisuse):
         write_container(tmp_path / "x.pdc", [("info", b"not an options doc !!")])
@@ -303,6 +312,19 @@ def test_two_writers_of_one_long_path_get_distinct_temporaries(tmp_path):
     first.abandon()
     assert path.read_bytes() == b"second"
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_an_atomic_file_opens_when_made_and_dropped_unwritten_leaves_nothing(tmp_path):
+    out = provrun.container.AtomicFile(tmp_path / "out.pdc")
+    assert [p.suffix for p in tmp_path.iterdir()] == [".tmp"]
+    del out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_atomic_file_in_a_missing_directory_is_a_write_failure(tmp_path):
+    with pytest.raises(WriteFailure, match="cannot write"):
+        provrun.container.AtomicFile(tmp_path / "missing" / "out.pdc")
+    assert list(tmp_path.iterdir()) == []
 
 
 class _BrokenSource(Exception):

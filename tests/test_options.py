@@ -460,6 +460,9 @@ def test_value_constructor_rejects_bad_values():
         OptionValue.of([[1]])
     with pytest.raises(InvalidOptionValue, match="text is not valid Unicode"):
         OptionValue.of("\ud800")
+    for unsupported in (None, b"x", {}, 1j, {1}, [None]):
+        with pytest.raises(InvalidOptionValue, match="cannot represent"):
+            OptionValue.of(unsupported)
     with pytest.raises(InvalidOptionValue):
         OptionKey("A", "")
     with pytest.raises(InvalidOptionValue):
